@@ -130,11 +130,6 @@ def wilson_halfwidth(count, n, z=_WILSON_Z):
     return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
 
 
-def wilson_center(count, n, z=_WILSON_Z):
-    p = count / n
-    return (p + z * z / (2.0 * n)) / (1.0 + z * z / n)
-
-
 def _block_stream(seed, block_index):
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

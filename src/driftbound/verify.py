@@ -17,10 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .drift import mollify_drift
 from .grid import ScalarField, lp_norm
 from .orlicz import orlicz_norm
-from .solver import solve
 
 __all__ = [
     "ANALYTIC_TOL",
@@ -387,46 +385,40 @@ def _orlicz_distance(field_a, field_b):
 
 
 def check_cauchy_convergence(
-    b,
-    schedule_a,
-    schedule_b,
-    f,
-    config,
+    trajs_a,
+    trajs_b,
     tol_rel=ANALYTIC_TOL,
     min_ratio=1.5,
     negligible=1e-9,
 ):
     """Convergence and schedule independence of the mollified solutions.
 
-    For each schedule, solves with every mollified drift and forms
-    D(i, i+1) = sup over checkpoints of ||u_i(t) - u_(i+1)(t)||_Phi between
-    consecutive members.  Passes when the D sequence of schedule A decays by
-    at least min_ratio per level (levels below ``negligible`` count as
-    converged) and the finest members of the two schedules agree within the
-    last intra-schedule gap.
+    trajs_a and trajs_b are the solves of one datum under the members of two
+    mollification schedules, each ordered coarse to fine and sharing one set
+    of checkpoint times.  For each schedule it forms D(i, i+1) = sup over
+    checkpoints of ||u_i(t) - u_(i+1)(t)||_Phi between consecutive members.
+    Passes when the D sequence of schedule A decays by at least min_ratio
+    per level (levels below ``negligible`` count as converged) and the
+    finest members of the two schedules agree within the last
+    intra-schedule gap.
     """
-    for schedule in (schedule_a, schedule_b):
-        if len(schedule) < 2:
+    for trajs in (trajs_a, trajs_b):
+        if len(trajs) < 2:
             raise ValueError("schedules need at least two members")
-        if any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])) or schedule[-1] <= 0:
-            raise ValueError(f"schedule must be strictly decreasing and positive: {schedule}")
+    checkpoints = trajs_a[0].snapshot_times
+    for traj in list(trajs_a) + list(trajs_b):
+        _require_clean(traj)
+        if not np.array_equal(traj.snapshot_times, checkpoints):
+            raise ValueError("trajectories do not share checkpoint times")
 
-    def run_schedule(schedule):
-        trajs = [solve(mollify_drift(b, eps), f, config) for eps in schedule]
-        for traj in trajs:
-            _require_clean(traj)
-        gaps = []
-        for first, second in zip(trajs, trajs[1:]):
-            gaps.append(
-                max(
-                    _orlicz_distance(first.snapshot_u(i), second.snapshot_u(i))
-                    for i in range(len(first.snapshots))
-                )
-            )
-        return trajs, gaps
+    def sup_distance(first, second):
+        return max(
+            _orlicz_distance(first.snapshot_u(i), second.snapshot_u(i))
+            for i in range(len(checkpoints))
+        )
 
-    trajs_a, gaps_a = run_schedule(schedule_a)
-    trajs_b, gaps_b = run_schedule(schedule_b)
+    gaps_a = [sup_distance(first, second) for first, second in zip(trajs_a, trajs_a[1:])]
+    gaps_b = [sup_distance(first, second) for first, second in zip(trajs_b, trajs_b[1:])]
 
     decay_ok = True
     ratios = []
@@ -439,10 +431,7 @@ def check_cauchy_convergence(
         if ratio < min_ratio:
             decay_ok = False
 
-    cross = max(
-        _orlicz_distance(trajs_a[-1].snapshot_u(i), trajs_b[-1].snapshot_u(i))
-        for i in range(len(trajs_a[-1].snapshots))
-    )
+    cross = sup_distance(trajs_a[-1], trajs_b[-1])
     cross_budget = max(gaps_a[-1], gaps_b[-1], negligible)
     cross_ok = cross <= cross_budget * (1.0 + tol_rel)
 

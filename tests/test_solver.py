@@ -12,8 +12,9 @@ from driftbound import (
     build_drift,
     mollify_drift,
     solve,
-    unshift,
 )
+from driftbound.grid import irfftn, rfftn
+from driftbound.orlicz import orlicz_norm
 
 
 def sin_mode(grid):
@@ -25,6 +26,12 @@ def sin_mode(grid):
 def constant_drift(grid, beta=1.0):
     vec = (beta,) + (0.0,) * (grid.dim - 1)
     return build_drift(DriftSpec(kind="constant", vector=vec), grid)
+
+
+def mollified_hardy16():
+    grid = TorusGrid(3, 16)
+    b = build_drift(DriftSpec(kind="hardy", delta=4.0, sign=-1, core_radius=0.125), grid)
+    return grid, mollify_drift(b, 3e-3)
 
 
 class TestSolveAnalytic:
@@ -129,11 +136,99 @@ class TestInvariants:
             assert abs(coarse - fine) <= 0.01 * max(abs(fine), 1e-12)
 
 
+    def test_shifted_solve_carries_the_unshifted_solution(self):
+        # the integrating-factor scheme commutes with v = exp(-shift t) u, so
+        # the u-columns and u-snapshots of a shifted solve equal a direct
+        # shift = 0 solve up to rounding
+        grid, b_eps = mollified_hardy16()
+        f = ScalarField.from_function(
+            grid,
+            lambda x, y, z: 0.5 * np.cos(2 * np.pi * np.broadcast_to(x, grid.shape))
+            + 0.25 * np.sin(2 * np.pi * np.broadcast_to(y + z, grid.shape)),
+        )
+
+        def run(shift):
+            cfg = SolverConfig(dt=1e-3, t_final=0.04, shift=shift, snapshot_stride=10)
+            return solve(b_eps, f, cfg)
+
+        shifted, direct = run(2.5), run(0.0)
+
+        def close(got, want):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        for name in direct.diag:
+            if name.endswith("_u"):
+                close(shifted.diag[name], direct.diag[name])
+        close(shifted.sup_u, direct.sup_u)
+        for p in direct.p_list:
+            close(shifted.lp_u(p), direct.lp_u(p))
+        close(shifted.dirichlet_u, direct.dirichlet_u)
+        assert shifted.snapshot_indices == direct.snapshot_indices
+        for i in range(len(direct.snapshots)):
+            close(shifted.snapshot_u(i).values, direct.snapshot_u(i).values)
+
+    def test_diagnostics_match_generic_power_formulas(self):
+        # oracle: every per-step column recomputed at the snapshot steps from
+        # the stored field with the plain ``**p`` formulas
+        grid, b_eps = mollified_hardy16()
+        f = ScalarField.from_function(
+            grid, lambda x, y, z: 0.75 * np.cos(2 * np.pi * np.broadcast_to(x, grid.shape))
+        )
+        h_d = grid.cell_volume
+        for shift in (0.0, 2.0):
+            cfg = SolverConfig(
+                dt=1e-3, t_final=0.02, shift=shift, snapshot_stride=5, p_list=(2, 4, 6)
+            )
+            traj = solve(b_eps, f, cfg)
+            for i, k in enumerate(traj.snapshot_indices):
+                v = traj.snapshot_v(i).values
+                spectrum = rfftn(v)
+                grad_sq = sum(irfftn(spectrum * g, grid.shape) ** 2 for g in grid.gradient_symbols)
+                scale = math.exp(shift * traj.times[k])
+                u, u_grad_sq = scale * v, scale**2 * grad_sq
+                want = {
+                    "sup_v": np.abs(v).max(),
+                    "dirichlet_v": h_d * grad_sq.sum(),
+                    "modular_v": h_d * (np.cosh(v) - 1.0).sum(),
+                    "modular_u": h_d * (np.cosh(u) - 1.0).sum(),
+                }
+                for p in cfg.p_list:
+                    exp_u = np.exp(u**p)
+                    want[f"l{p}_v"] = (h_d * (np.abs(v) ** p).sum()) ** (1.0 / p)
+                    want[f"exp_modular_p{p}_u"] = h_d * exp_u.sum()
+                    want[f"exp_disp_p{p}_u"] = h_d * (
+                        (p * p / 4.0) * u ** (p - 2) * u_grad_sq * exp_u
+                    ).sum()
+                    want[f"exp_gradexp_p{p}_u"] = h_d * (
+                        (p * p / 4.0) * u ** (2 * p - 2) * u_grad_sq * exp_u
+                    ).sum()
+                hint = traj.diag["orlicz_v"][k - 1] if k else None
+                want["orlicz_v"] = orlicz_norm(
+                    traj.snapshot_v(i),
+                    tol=cfg.diag_orlicz_tol,
+                    bracket_hint=(0.95 * hint, 1.05 * hint) if hint else None,
+                ).value
+                assert sorted(want) == sorted(traj.diag)
+                for name, value in want.items():
+                    assert traj.diag[name][k] == pytest.approx(value, rel=1e-10), (shift, k, name)
+
+
 class TestErrors:
     def test_cfl_violation_rejected(self, grid1d):
         cfg = SolverConfig(dt=0.01, t_final=0.1)
         with pytest.raises(ValueError, match="CFL"):
             solve(constant_drift(grid1d, 10.0), sin_mode(grid1d), cfg)
+
+    def test_cfl_uses_the_dealiased_drift(self, grid1d):
+        # all of this drift's energy lies above the two-thirds cutoff, so the
+        # advected field is zero up to rounding and the CFL bound of the
+        # undealiased max|b| = 10 does not apply
+        b = build_drift(DriftSpec(kind="trig", components=[[(10.0, (30,))]]), grid1d)
+        cfg = SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=10)
+        assert cfg.dt > cfg.cfl_safety * grid1d.spacing / b.max_magnitude()
+        traj = solve(b, sin_mode(grid1d), cfg)
+        diffused = solve(VectorField.zeros(grid1d), sin_mode(grid1d), cfg)
+        assert np.abs(traj.snapshots[-1].values - diffused.snapshots[-1].values).max() < 1e-12
 
     def test_non_multiple_horizon_rejected(self, grid1d):
         cfg = SolverConfig(dt=3e-4, t_final=0.1)
@@ -168,63 +263,6 @@ class TestErrors:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
-
-
-class TestUnshift:
-    def test_identity_at_zero(self, grid1d):
-        cfg = SolverConfig(dt=1e-3, t_final=0.01, shift=1.0, snapshot_stride=5)
-        traj = solve(VectorField.zeros(grid1d), sin_mode(grid1d), cfg)
-        assert unshift(traj, 0.0) is traj
-
-    def test_single_snapshot_constant_field(self, grid1d):
-        # a hand-built trajectory whose only stored state is the constant a:
-        # unshifting rescales that snapshot to a * exp(lam * t)
-        from driftbound import Trajectory
-        from driftbound.solver import _diagnostic_columns
-
-        a, lam, t = 0.7, 2.0, 0.25
-        columns = {name: np.zeros(1) for name in _diagnostic_columns((2, 4))}
-        traj = Trajectory(
-            grid=grid1d,
-            shift=lam,
-            p_list=(2, 4),
-            times=np.array([t]),
-            diag=columns,
-            snapshot_indices=[0],
-            snapshots=[ScalarField.full(grid1d, a)],
-        )
-        out = unshift(traj, lam)
-        assert np.abs(out.snapshots[0].values - a * math.exp(lam * t)).max() < 1e-14
-
-    def test_shifted_solve_of_constant_recovers_constant(self, grid1d):
-        # v solves the shifted equation so v = a exp(-shift t); the
-        # unshifted solution is the constant a itself
-        f = ScalarField.full(grid1d, 0.7)
-        cfg = SolverConfig(dt=1e-3, t_final=0.01, shift=2.0, snapshot_stride=10)
-        out = unshift(solve(VectorField.zeros(grid1d), f, cfg), 2.0)
-        assert np.abs(out.snapshots[-1].values - 0.7).max() < 1e-12
-
-    def test_matches_direct_zero_shift_solve(self, grid1d):
-        f = sin_mode(grid1d)
-        shifted = solve(
-            VectorField.zeros(grid1d),
-            f,
-            SolverConfig(dt=1e-4, t_final=0.05, shift=3.0, snapshot_stride=100),
-        )
-        direct = solve(
-            VectorField.zeros(grid1d),
-            f,
-            SolverConfig(dt=1e-4, t_final=0.05, shift=0.0, snapshot_stride=100),
-        )
-        out = unshift(shifted, 3.0)
-        assert np.abs(out.snapshots[-1].values - direct.snapshots[-1].values).max() < 1e-9
-        assert np.abs(out.diag["modular_v"] - direct.diag["modular_v"]).max() < 1e-9
-
-    def test_other_shift_values_rejected(self, grid1d):
-        cfg = SolverConfig(dt=1e-3, t_final=0.01, shift=1.0)
-        traj = solve(VectorField.zeros(grid1d), sin_mode(grid1d), cfg)
-        with pytest.raises(ValueError, match="unshift"):
-            unshift(traj, 0.5)
 
 
 def test_csv_stream(tmp_path, grid1d):

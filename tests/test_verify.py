@@ -24,6 +24,7 @@ from driftbound import (
     render_reports,
     solve,
 )
+from driftbound.cli import ConfigError, Experiment
 from driftbound.drift import zeroth_order_constant
 
 
@@ -253,6 +254,18 @@ class TestExpEnergy:
         with pytest.raises(ValueError, match="rescale"):
             check_exp_energy(traj, 2, 4.0, 1.0)
 
+    def test_overflow_of_a_high_power_rejected(self, grid1d):
+        # 3^6 = 729 overflows exp while 3^2 does not; the shifted solve
+        # reaches u only through its rescaled power chains
+        traj = solve(
+            VectorField.zeros(grid1d),
+            ScalarField.full(grid1d, 3.0),
+            SolverConfig(dt=1e-3, t_final=0.01, shift=1.0, snapshot_stride=10, p_list=(2, 6)),
+        )
+        assert check_exp_energy(traj, 2, 4.0, 1.0).passed
+        with pytest.raises(ValueError, match="rescale"):
+            check_exp_energy(traj, 6, 4.0, 1.0)
+
     def test_unknown_p_rejected(self, grid1d):
         traj = solve(
             VectorField.zeros(grid1d),
@@ -308,6 +321,10 @@ class TestGradientBound:
         assert 2 * (0.1 * norm_sq) == pytest.approx(0.2 * norm_sq)
 
 
+def solve_schedule(b, schedule, f, cfg):
+    return [solve(mollify_drift(b, eps), f, cfg) for eps in schedule]
+
+
 class TestCauchyConvergence:
     def test_band_limited_drift_changes_negligibly(self, grid2d):
         spec = DriftSpec(kind="trig", components=[[(0.5, (1, 0))], [(0.25, (0, 1))]])
@@ -315,7 +332,8 @@ class TestCauchyConvergence:
         f = cos_datum(grid2d)
         cfg = SolverConfig(dt=1e-3, t_final=0.02, snapshot_stride=10)
         report = check_cauchy_convergence(
-            b, [1e-9, 1e-10, 1e-11], [5e-10, 5e-11], f, cfg
+            solve_schedule(b, [1e-9, 1e-10, 1e-11], f, cfg),
+            solve_schedule(b, [5e-10, 5e-11], f, cfg),
         )
         assert report.passed
         assert all(g <= 1e-9 for g in report.notes["gaps_a"])
@@ -327,16 +345,33 @@ class TestCauchyConvergence:
         cfg = SolverConfig(dt=5e-4, t_final=0.05, snapshot_stride=20)
         schedule_a = [1e-2 * 4.0**-k for k in range(4)]
         schedule_b = [5e-3 * 4.0**-k for k in range(4)]
-        report = check_cauchy_convergence(b, schedule_a, schedule_b, f, cfg)
+        report = check_cauchy_convergence(
+            solve_schedule(b, schedule_a, f, cfg), solve_schedule(b, schedule_b, f, cfg)
+        )
         assert report.notes["decay_ok"], report.notes["decay_ratios"]
         assert report.notes["cross_ok"]
         assert report.passed
 
-    def test_rejects_nondecreasing_schedule(self, grid2d):
-        b = VectorField.zeros(grid2d)
-        cfg = SolverConfig(dt=1e-3, t_final=0.01)
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            check_cauchy_convergence(b, [1e-3, 1e-3], [1e-3, 1e-4], cos_datum(grid2d), cfg)
+    def test_rejects_nondecreasing_schedule(self):
+        # schedule order is validated where the schedules are configured
+        data = {
+            "grid": {"dim": 1, "n": 16},
+            "drift": {"kind": "constant", "vector": [0.0]},
+            "mollification": {"schedule": [1e-3, 1e-4], "schedule_b": [1e-3, 1e-3]},
+        }
+        with pytest.raises(ConfigError, match="schedule_b must be strictly decreasing"):
+            Experiment(data)
+
+    def test_rejects_short_or_mismatched_families(self, grid1d):
+        b = VectorField.zeros(grid1d)
+        f = cos_datum(grid1d)
+        cfg = SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=5)
+        pair = solve_schedule(b, [1e-3, 1e-4], f, cfg)
+        with pytest.raises(ValueError, match="at least two members"):
+            check_cauchy_convergence(pair, pair[:1])
+        other = solve(b, f, SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=2))
+        with pytest.raises(ValueError, match="checkpoint times"):
+            check_cauchy_convergence(pair, [pair[0], other])
 
 
 def test_refinement_study_attaches_trend(grid1d):
