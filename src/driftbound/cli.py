@@ -167,6 +167,8 @@ class Experiment:
     def __init__(self, data, output_dir=None, seed=None, tier=None, parallel=False):
         exp = data.get("experiment", {})
         self.seed = int(seed if seed is not None else exp.get("seed", 0))
+        # an explicit seed also wins over sde.seed
+        self.seed_overridden = seed is not None
         self.output_dir = Path(output_dir or exp.get("output_dir", "runs/out"))
         tier = tier or exp.get("tolerance_tier", "singular")
         if tier not in ("analytic", "singular"):
@@ -454,6 +456,11 @@ def pipeline_verify(exp):
 
     members = exp.schedule if singular_drift else [0.0]
     run_cauchy = "cauchy_convergence" in selected and singular_drift
+    if run_cauchy and min(len(exp.schedule), len(exp.schedule_b)) < 2:
+        raise ConfigError(
+            "cauchy_convergence needs at least two members in mollification.schedule "
+            "and mollification.schedule_b"
+        )
     # schedule B is solved only for the Cauchy check; every member of A and B
     # is solved exactly once, and all solves share one job map
     members_b = exp.schedule_b if run_cauchy else []
@@ -500,11 +507,12 @@ def pipeline_verify(exp):
 
 
 def pipeline_sde(exp):
-    from .sde import SdeConfig, delta_sweep
+    from .sde import SdeConfig, delta_sweep, sweep_configs
 
     cfg = exp.sde_cfg
     if not cfg:
         raise ConfigError("sde section missing")
+    seed = exp.seed if exp.seed_overridden else cfg.get("seed", exp.seed)
     try:
         base = SdeConfig(
             dim=int(cfg.get("dim", 3)),
@@ -513,14 +521,16 @@ def pipeline_sde(exp):
             t_final=float(cfg.get("t_final", 0.02)),
             dt=float(cfg.get("dt", 2e-5)),
             n_paths=int(cfg.get("n_paths", 20000)),
-            seed=int(cfg.get("seed", exp.seed)),
+            seed=int(seed),
             r_hit=float(cfg.get("r_hit", 0.3)),
             r_core=float(cfg.get("r_core", 0.03)),
             sign=int(cfg.get("sign", -1)),
         )
+        deltas = [float(d) for d in cfg.get("deltas", [base.delta])]
+        # validates every swept config, so a bad delta is a config error
+        sweep_configs(base, deltas)
     except ValueError as exc:
         raise ConfigError(f"sde: {exc}") from exc
-    deltas = [float(d) for d in cfg.get("deltas", [base.delta])]
     results = delta_sweep(base, deltas)
     exp.emit_json("sde.json", {"sweep": [s.to_json() for s in results]})
     lines = [f"{'delta':>8s} {'hit_fraction':>13s} {'ci':>9s} {'mean_hit_time':>14s}"]

@@ -17,16 +17,19 @@ with its own Philox stream keyed by (seed, block index), and noise is drawn
 for every path of a block at every step whether or not the path is still
 active.  Results are therefore bitwise reproducible, independent of
 scheduling, and pathwise coupled across parameter sweeps that share a seed.
+A sweep draws each block-step's noise once and every delta reads the same
+arrays.  Each delta keeps its active paths compacted (positions, radii and
+their row in the block) and drops a path's row when it hits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["SdeConfig", "HittingStats", "simulate_hardy_sde", "delta_sweep"]
+__all__ = ["SdeConfig", "HittingStats", "simulate_hardy_sde", "sweep_configs", "delta_sweep"]
 
 _BLOCK = 1 << 14
 _WILSON_Z = 1.959963984540054
@@ -74,6 +77,10 @@ class SdeConfig:
             raise ValueError(f"sign must be -1 or +1, got {self.sign}")
         if math.hypot(*self.x0) <= self.r_hit:
             raise ValueError("x0 must start outside the hitting radius")
+        if self.n_steps < 1 or abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
+            raise ValueError(
+                f"t_final={self.t_final} must be a whole number of steps of dt={self.dt}"
+            )
         cap = math.sqrt(self.delta) * (self.dim - 2) / 2.0 / self.r_core
         if self.dt * cap >= self.r_hit / 10.0:
             raise ValueError(
@@ -83,12 +90,7 @@ class SdeConfig:
 
     @property
     def n_steps(self):
-        steps = int(round(self.t_final / self.dt))
-        if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * self.t_final:
-            raise ValueError(
-                f"t_final={self.t_final} must be a whole number of steps of dt={self.dt}"
-            )
-        return steps
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass
@@ -135,96 +137,116 @@ def _block_stream(seed, block_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _simulate(base, configs):
+    """Hitting statistics for each of configs, which differ from base only in delta.
+
+    Every block-step draws one noise array and one crossing array, shared by
+    all configs; the per-path arithmetic is the same for one config as for
+    many, so each result is bitwise that of a run on its own.
+    """
+    n_steps = base.n_steps
+    noise_scale = math.sqrt(2.0 * base.dt)
+    jump_limit = 10.0 * base.r_hit
+    coeffs = [c.sign * math.sqrt(c.delta) * (c.dim - 2) / 2.0 for c in configs]
+
+    hit_counts = [0] * len(configs)
+    hit_times = [0.0] * len(configs)
+    dt_warnings = [False] * len(configs)
+
+    n_blocks = (base.n_paths + _BLOCK - 1) // _BLOCK
+    for block in range(n_blocks):
+        size = min(_BLOCK, base.n_paths - block * _BLOCK)
+        rng = _block_stream(base.seed, block)
+        # per config: positions, radii and block rows of the active paths
+        live = []
+        for _ in configs:
+            x = np.tile(np.asarray(base.x0), (size, 1))
+            r = np.sqrt(np.einsum("ij,ij->i", x, x))
+            live.append((x, r, np.arange(size, dtype=np.int32)))
+        # per config: sum over this block's hits of the step that hit
+        hit_steps = [0] * len(configs)
+
+        for k in range(n_steps):
+            noise = rng.standard_normal((size, base.dim))
+            crossing = rng.random(size) if base.bridge else None
+            noise *= noise_scale  # the same products as scaling each gathered row
+            for j, coeff in enumerate(coeffs):
+                x, r, rows = live[j]
+                if not len(rows):
+                    continue
+                denom = np.maximum(r, base.r_core) ** 2
+                # noise + drift, in place: the same sums as drift + noise
+                step = noise.take(rows, axis=0)
+                step += (coeff * base.dt / denom)[:, None] * x
+                # a step with every component inside jump_limit / dim is
+                # shorter than jump_limit, so the row norms are rarely needed
+                if (
+                    not dt_warnings[j]
+                    and max(step.max(), -step.min()) >= jump_limit / base.dim
+                    and np.any(np.einsum("ij,ij->i", step, step) > jump_limit * jump_limit)
+                ):
+                    dt_warnings[j] = True
+                x += step
+                r_new = np.sqrt(np.einsum("ij,ij->i", x, x))
+                hits = r_new <= base.r_hit
+                if base.bridge:
+                    # tangent-plane Brownian bridge: the normal component has
+                    # variance 2 dt, so the crossing probability from signed
+                    # distances (a, b) is exp(-a b / dt).  exp gives 0.0 below
+                    # -746, which no uniform draw undercuts, and is slow where
+                    # it underflows, so only the paths above take it
+                    a = np.maximum(r - base.r_hit, 0.0)
+                    b = np.maximum(r_new - base.r_hit, 0.0)
+                    exponent = -a * b / base.dt
+                    near = np.flatnonzero(exponent > -746.0)
+                    with np.errstate(under="ignore"):
+                        p_cross = np.exp(exponent[near])
+                    hits[near] |= crossing[rows[near]] < p_cross
+                n_hit = int(np.count_nonzero(hits))
+                if n_hit:
+                    keep = np.flatnonzero(~hits)
+                    x, r_new, rows = x.take(keep, axis=0), r_new[keep], rows[keep]
+                    hit_counts[j] += n_hit
+                    hit_steps[j] += n_hit * (k + 1)
+                live[j] = (x, r_new, rows)
+
+        for j in range(len(configs)):
+            hit_times[j] += float(hit_steps[j]) * base.dt
+
+    return [
+        HittingStats(
+            delta=config.delta,
+            hit_count=count,
+            n_paths=config.n_paths,
+            hit_fraction=count / config.n_paths,
+            mean_hit_time=total / count if count else math.nan,
+            confidence_halfwidth=wilson_halfwidth(count, config.n_paths),
+            seed=config.seed,
+            dt_warning=warned,
+        )
+        for config, count, total, warned in zip(configs, hit_counts, hit_times, dt_warnings)
+    ]
+
+
 def simulate_hardy_sde(config):
     """Run the Monte Carlo and return hitting statistics.
 
     Deterministic for a fixed (seed, config); any single-step displacement
     beyond 10 r_hit flags dt_warning (halve dt) rather than aborting.
     """
-    n_steps = config.n_steps
-    coeff = config.sign * math.sqrt(config.delta) * (config.dim - 2) / 2.0
-    noise_scale = math.sqrt(2.0 * config.dt)
-    jump_limit = 10.0 * config.r_hit
+    return _simulate(config, [config])[0]
 
-    hit_count = 0
-    hit_time_total = 0.0
-    dt_warning = False
 
-    n_blocks = (config.n_paths + _BLOCK - 1) // _BLOCK
-    for block in range(n_blocks):
-        size = min(_BLOCK, config.n_paths - block * _BLOCK)
-        rng = _block_stream(config.seed, block)
-        x = np.tile(np.asarray(config.x0), (size, 1))
-        active = np.ones(size, dtype=bool)
-        hit_step = np.zeros(size, dtype=np.int64)
-
-        for k in range(n_steps):
-            noise = rng.standard_normal((size, config.dim))
-            crossing = rng.random(size) if config.bridge else None
-            if not active.any():
-                continue
-            xa = x[active]
-            r = np.sqrt(np.einsum("ij,ij->i", xa, xa))
-            denom = np.maximum(r, config.r_core) ** 2
-            step = (coeff * config.dt / denom)[:, None] * xa + noise_scale * noise[active]
-            if np.any(np.einsum("ij,ij->i", step, step) > jump_limit * jump_limit):
-                dt_warning = True
-            xa = xa + step
-            r_new = np.sqrt(np.einsum("ij,ij->i", xa, xa))
-            hits = r_new <= config.r_hit
-            if config.bridge:
-                # tangent-plane Brownian bridge: the normal component has
-                # variance 2 dt, so the crossing probability from signed
-                # distances (a, b) is exp(-a b / dt)
-                a = np.maximum(r - config.r_hit, 0.0)
-                b = np.maximum(r_new - config.r_hit, 0.0)
-                with np.errstate(under="ignore"):
-                    p_cross = np.exp(-a * b / config.dt)
-                hits |= crossing[active] < p_cross
-            x[active] = xa
-            if hits.any():
-                idx = np.flatnonzero(active)[hits]
-                hit_step[idx] = k + 1
-                active[idx] = False
-
-        hit_mask = hit_step > 0
-        hit_count += int(hit_mask.sum())
-        hit_time_total += float(hit_step[hit_mask].sum()) * config.dt
-
-    fraction = hit_count / config.n_paths
-    mean_time = hit_time_total / hit_count if hit_count else math.nan
-    return HittingStats(
-        delta=config.delta,
-        hit_count=hit_count,
-        n_paths=config.n_paths,
-        hit_fraction=fraction,
-        mean_hit_time=mean_time,
-        confidence_halfwidth=wilson_halfwidth(hit_count, config.n_paths),
-        seed=config.seed,
-        dt_warning=dt_warning,
-    )
+def sweep_configs(base, deltas):
+    """One validated SdeConfig per delta, equal to base in every other field."""
+    return [replace(base, delta=float(delta)) for delta in deltas]
 
 
 def delta_sweep(base, deltas):
     """simulate_hardy_sde per delta, with common random numbers.
 
     Every run reuses the base seed, so the Brownian increments are shared
-    and the hit fractions are pathwise coupled across the sweep.
+    and the hit fractions are pathwise coupled across the sweep.  All
+    configs are validated before any path is simulated.
     """
-    results = []
-    for delta in deltas:
-        config = SdeConfig(
-            dim=base.dim,
-            delta=float(delta),
-            x0=base.x0,
-            t_final=base.t_final,
-            dt=base.dt,
-            n_paths=base.n_paths,
-            seed=base.seed,
-            r_hit=base.r_hit,
-            r_core=base.r_core,
-            sign=base.sign,
-            bridge=base.bridge,
-        )
-        results.append(simulate_hardy_sde(config))
-    return results
+    return _simulate(base, sweep_configs(base, deltas))

@@ -84,6 +84,17 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mollification",
+        [{"schedule": [1e-2]}, {"schedule": [1e-2, 2.5e-3], "schedule_b": [5e-3]}],
+    )
+    def test_one_member_schedule_with_cauchy_is_config_error(self, tmp_path, mollification):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, mollification=mollification)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert not (out / "diagnostics.csv").exists()
+
     def test_unknown_inequality_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
@@ -183,6 +194,35 @@ class TestOtherPipelines:
         assert main(["sde", "--config", str(cfg)]) == 0
         payload = json.loads((out / "sde.json").read_text())
         assert [row["delta"] for row in payload["sweep"]] == [0.5, 36.0]
+
+    @pytest.mark.parametrize(
+        "sde_edit",
+        [
+            {"deltas": [0.5, -1.0]},
+            {"deltas": [0.5, 1.0e6]},  # breaks the dt cap
+            {"t_final": 0.02, "dt": 3e-5},  # not a whole number of steps
+        ],
+    )
+    def test_sde_bad_sweep_is_config_error(self, tmp_path, sde_edit):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, sde=sde_edit)
+        assert main(["sde", "--config", str(cfg)]) == 2
+        assert not (out / "sde.json").exists()
+
+    def test_sde_seed_precedence(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        write_config(cfg, tmp_path / "ignored", experiment={"seed": 2}, sde={"seed": 3})
+
+        def seeds(name, *extra):
+            out = tmp_path / name
+            assert main(["sde", "--config", str(cfg), "--output", str(out), *extra]) == 0
+            return {row["seed"] for row in json.loads((out / "sde.json").read_text())["sweep"]}
+
+        assert seeds("cli", "--seed", "5") == {5}
+        assert seeds("sde") == {3}
+        write_config(cfg, tmp_path / "ignored", experiment={"seed": 2})
+        assert seeds("experiment") == {2}
 
     def test_parallel_flag_matches_sequential(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

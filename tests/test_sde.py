@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy.special import erfc
 
+from driftbound import sde
 from driftbound.sde import (
     SdeConfig,
     delta_sweep,
@@ -48,6 +49,7 @@ class TestConfigValidation:
             {"x0": (0.1, 0.0, 0.0)},  # starts inside the ball
             {"sign": 2},
             {"delta": 1e6, "dt": 1e-3},  # dt * drift cap beyond r_hit/10
+            {"t_final": 0.02, "dt": 3e-5},  # not a whole number of steps
         ],
     )
     def test_rejected(self, overrides):
@@ -118,6 +120,18 @@ class TestSimulate:
         assert none.hit_count == 0
         assert math.isnan(none.mean_hit_time)
 
+    @pytest.mark.parametrize(
+        "bridge, hit_count, mean_hit_time",
+        [(True, 7466, 0.008792003750334853), (False, 6973, 0.009128251828481286)],
+    )
+    def test_frozen_hitting_statistics(self, bridge, hit_count, mean_hit_time):
+        # values of the former one-delta-at-a-time engine; 20000 paths span two blocks
+        stats = simulate_hardy_sde(
+            base_config(delta=4.0, dt=1e-4, n_paths=20000, seed=7, bridge=bridge)
+        )
+        assert stats.hit_count == hit_count
+        assert stats.mean_hit_time == mean_hit_time
+
     def test_json_payload(self):
         stats = simulate_hardy_sde(base_config(n_paths=2000, dt=1e-4))
         payload = stats.to_json()
@@ -135,6 +149,23 @@ class TestDeltaSweep:
     def test_singleton_matches_direct_call(self):
         base = base_config(n_paths=3000, dt=1e-4)
         assert delta_sweep(base, [0.0])[0] == simulate_hardy_sde(base)
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_members_match_single_runs(self, bridge):
+        # 17000 paths: a full block and a partial one
+        params = dict(dt=1e-4, n_paths=17000, seed=3, bridge=bridge)
+        deltas = [0.0, 0.5, 4.0, 36.0]
+        sweep = delta_sweep(base_config(**params), deltas)
+        for delta, member in zip(deltas, sweep):
+            assert member == simulate_hardy_sde(base_config(delta=delta, **params))
+
+    @pytest.mark.parametrize("bad", [-1.0, 1.0e6])
+    def test_invalid_delta_raises_before_any_path_work(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(sde, "_block_stream", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            delta_sweep(base_config(dt=1e-3, t_final=0.02), [0.5, bad])
+        assert calls == []
 
     def test_reversed_order_same_values(self):
         base = base_config(n_paths=3000, dt=1e-4)
