@@ -26,7 +26,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +62,11 @@ INEQUALITY_IDS = (
     "exp_energy",
     "gradient_bound",
     "cauchy_convergence",
+)
+
+# every key pipeline_sde reads; any other key in the sde section is an error
+SDE_KEYS = (
+    "dim", "delta", "deltas", "x0", "t_final", "dt", "n_paths", "seed", "r_hit", "r_core", "sign"
 )
 
 TEMPLATE = """\
@@ -136,6 +140,16 @@ class ConfigError(ValueError):
     """Configuration problem with a dotted field path for context."""
 
 
+def _section(data, name):
+    """Top-level config section; one left empty in the YAML reads as {}."""
+    section = data.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a mapping, got {type(section).__name__}")
+    return section
+
+
 def _require(section, key, path, expected=None):
     if key not in section or section[key] is None:
         raise ConfigError(f"{path}.{key} is required")
@@ -164,8 +178,8 @@ def load_config(path):
 class Experiment:
     """Validated experiment state shared by the pipelines."""
 
-    def __init__(self, data, output_dir=None, seed=None, tier=None, parallel=False):
-        exp = data.get("experiment", {})
+    def __init__(self, data, output_dir=None, seed=None, tier=None):
+        exp = _section(data, "experiment")
         self.seed = int(seed if seed is not None else exp.get("seed", 0))
         # an explicit seed also wins over sde.seed
         self.seed_overridden = seed is not None
@@ -175,21 +189,21 @@ class Experiment:
             raise ConfigError(f"experiment.tolerance_tier must be analytic|singular, got {tier!r}")
         self.tier = tier
         self.tol_rel = ANALYTIC_TOL if tier == "analytic" else SINGULAR_TOL
-        self.parallel = parallel
 
-        grid_cfg = data.get("grid", {})
+        grid_cfg = _section(data, "grid")
         self.grid = TorusGrid(
             int(_require(grid_cfg, "dim", "grid")), int(_require(grid_cfg, "n", "grid"))
         )
 
-        self.drift_spec = self._parse_drift(data.get("drift", {}))
-        self.schedule = self._parse_schedule(data.get("mollification", {}))
-        self.schedule_b = self._parse_schedule_b(data.get("mollification", {}))
-        self.formbound = data.get("formbound", {}) or {}
-        self.initial_cfg = data.get("initial", {})
-        self.solver_cfg = data.get("solver", {})
-        self.verifier_cfg = data.get("verifier", {})
-        self.sde_cfg = data.get("sde", None)
+        self.drift_spec = self._parse_drift(_section(data, "drift"))
+        mollification = _section(data, "mollification")
+        self.schedule = self._parse_schedule(mollification)
+        self.schedule_b = self._parse_schedule_b(mollification)
+        self.formbound = _section(data, "formbound")
+        self.initial_cfg = _section(data, "initial")
+        self.solver_cfg = _section(data, "solver")
+        self.verifier_cfg = _section(data, "verifier")
+        self.sde_cfg = _section(data, "sde")
         self.config_digest = hashlib.sha256(
             json.dumps(data, sort_keys=True, default=str).encode()
         ).hexdigest()
@@ -344,12 +358,6 @@ class Experiment:
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return path
 
-    def map_jobs(self, fn, items):
-        if self.parallel and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=min(4, len(items))) as pool:
-                return list(pool.map(fn, items))
-        return [fn(item) for item in items]
-
 
 # -- pipelines ------------------------------------------------------------
 
@@ -462,10 +470,10 @@ def pipeline_verify(exp):
             "and mollification.schedule_b"
         )
     # schedule B is solved only for the Cauchy check; every member of A and B
-    # is solved exactly once, and all solves share one job map
+    # is solved exactly once
     members_b = exp.schedule_b if run_cauchy else []
-    drifts = exp.map_jobs(lambda eps: mollify_drift(b, eps), members + members_b)
-    solved = exp.map_jobs(lambda b_eps: solve(b_eps, f, config), drifts)
+    drifts = [mollify_drift(b, eps) for eps in members + members_b]
+    solved = [solve(b_eps, f, config) for b_eps in drifts]
     for traj, eps in zip(solved, members + members_b):
         if traj.aborted:
             raise RuntimeError(f"solve aborted for eps={eps}: {traj.abort_message}")
@@ -512,6 +520,9 @@ def pipeline_sde(exp):
     cfg = exp.sde_cfg
     if not cfg:
         raise ConfigError("sde section missing")
+    unknown = sorted(set(cfg) - set(SDE_KEYS))
+    if unknown:
+        raise ConfigError(f"sde has unknown keys {unknown}; known keys are {list(SDE_KEYS)}")
     seed = exp.seed if exp.seed_overridden else cfg.get("seed", exp.seed)
     try:
         base = SdeConfig(
@@ -559,10 +570,10 @@ PIPELINES = {
 }
 
 
-def run(subcommand, config_data, output_dir=None, seed=None, tier=None, parallel=False):
+def run(subcommand, config_data, output_dir=None, seed=None, tier=None):
     """Execute a pipeline; returns the process exit status."""
     try:
-        exp = Experiment(config_data, output_dir=output_dir, seed=seed, tier=tier, parallel=parallel)
+        exp = Experiment(config_data, output_dir=output_dir, seed=seed, tier=tier)
         if subcommand == "all":
             ok = pipeline_verify(exp)
             ok = pipeline_sde(exp) and ok
@@ -589,7 +600,6 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--output", default=None, help="override experiment.output_dir")
         p.add_argument("--seed", type=int, default=None, help="override experiment.seed")
-        p.add_argument("--parallel", action="store_true")
         p.add_argument("--tolerance-tier", choices=("analytic", "singular"), default=None)
     args = parser.parse_args(argv)
 
@@ -614,7 +624,6 @@ def main(argv=None):
         output_dir=args.output,
         seed=args.seed,
         tier=args.tolerance_tier,
-        parallel=args.parallel,
     )
 
 

@@ -23,10 +23,13 @@ import numpy as np
 
 from .grid import lp_norm
 
-__all__ = ["ACOSH2", "phi", "modular", "orlicz_norm", "OrliczNorm"]
+__all__ = ["ACOSH2", "CHECKPOINT_NORM_TOL", "phi", "modular", "orlicz_norm", "OrliczNorm"]
 
 # arcosh(2) = ln(2 + sqrt(3)); the constant field a has norm a / ACOSH2.
 ACOSH2 = math.acosh(2.0)
+
+# bisection tolerance for every norm a trajectory reports at its checkpoints
+CHECKPOINT_NORM_TOL = 1e-10
 
 _MAX_BISECTIONS = 200
 
@@ -71,13 +74,10 @@ class OrliczNorm:
     iterations: int = 0
 
 
-def orlicz_norm(f, tol=1e-10, bracket_hint=None):
+def orlicz_norm(f, tol=1e-10):
     """Luxemburg norm of f by bisection; returns the feasible endpoint.
 
-    Terminates when the bracket satisfies hi - lo < tol * hi.  A
-    bracket_hint (lo, hi) is used instead of the default bracket when it
-    actually brackets the norm; repeated evaluations on slowly drifting
-    fields pass the previous value's neighborhood here.
+    Terminates when the bracket satisfies hi - lo < tol * hi.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -86,11 +86,6 @@ def orlicz_norm(f, tol=1e-10, bracket_hint=None):
         return OrliczNorm(0.0, (0.0, 0.0), 0.0, 0)
     lo = lp_norm(f, 2) / 2.0
     hi = sup / ACOSH2
-    if bracket_hint is not None:
-        hint_lo = max(bracket_hint[0], lo)
-        hint_hi = min(bracket_hint[1], hi)
-        if hint_lo < hint_hi and modular(f, hint_lo) >= 1.0 >= modular(f, hint_hi):
-            lo, hi = hint_lo, hint_hi
     iterations = 0
     while hi - lo >= tol * hi and iterations < _MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)

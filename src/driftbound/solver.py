@@ -13,17 +13,19 @@ each even power p the exponential-weight integrands <exp(u^p)>,
 <(grad u^(p/2))^2 exp(u^p)> and <(grad exp(u^p/2))^2>.  Dense per-step
 sampling keeps the trapezoid time integrals of those terms accurate; full
 fields are stored only every snapshot_stride steps (plus the final time).
+The Orlicz norm of u is needed only at the snapshots and is computed there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, irfftn, rfftn
-from .orlicz import orlicz_norm
+from .orlicz import CHECKPOINT_NORM_TOL, orlicz_norm
 
 __all__ = ["SolverConfig", "Trajectory", "solve"]
 
@@ -45,7 +47,6 @@ class SolverConfig:
     scheme: str = "if_rk2"
     cfl_safety: float = 0.5
     p_list: tuple = (2, 4)
-    diag_orlicz_tol: float = 1e-6
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -95,10 +96,6 @@ class Trajectory:
         return self.diag[f"l{p}_v"] * self.u_scale
 
     @property
-    def orlicz_u(self):
-        return self.diag["orlicz_v"] * self.u_scale
-
-    @property
     def dirichlet_u(self):
         return self.diag["dirichlet_v"] * self.u_scale**2
 
@@ -113,18 +110,33 @@ class Trajectory:
         t = self.times[self.snapshot_indices[i]]
         return ScalarField(self.grid, math.exp(self.shift * t) * self.snapshots[i].values)
 
+    @cached_property
+    def snapshot_orlicz(self):
+        """Orlicz norm of u at each snapshot, computed on first use only."""
+        return np.array(
+            [
+                orlicz_norm(self.snapshot_u(i), tol=CHECKPOINT_NORM_TOL).value
+                for i in range(len(self.snapshots))
+            ]
+        )
+
     def initial_datum(self):
         return self.snapshots[0]
 
     def to_csv(self, path):
-        """Stream per-step diagnostics of the unshifted solution u."""
+        """Stream per-step diagnostics of the unshifted solution u.
+
+        The orlicz column holds the snapshot norms and nan on other rows.
+        """
+        orlicz = np.full_like(self.times, np.nan)
+        orlicz[self.snapshot_indices] = self.snapshot_orlicz
         columns = ["t", "sup", "l2", "l4", "orlicz", "modular", "dirichlet"]
         series = [
             self.times,
             self.sup_u,
             self.lp_u(2) if 2 in self.p_list else np.full_like(self.times, np.nan),
             self.lp_u(4) if 4 in self.p_list else np.full_like(self.times, np.nan),
-            self.orlicz_u,
+            orlicz,
             self.diag["modular_u"],
             self.dirichlet_u,
         ]
@@ -140,7 +152,7 @@ class Trajectory:
 
 
 def _diagnostic_columns(p_list):
-    cols = ["sup_v", "orlicz_v", "modular_v", "modular_u", "dirichlet_v"]
+    cols = ["sup_v", "modular_v", "modular_u", "dirichlet_v"]
     cols += [f"l{p}_v" for p in p_list]
     for p in p_list:
         cols += [f"exp_modular_p{p}_u", f"exp_disp_p{p}_u", f"exp_gradexp_p{p}_u"]
@@ -199,12 +211,11 @@ def solve(b_smooth, f, config):
     v_phys = f.values.copy()
     aborted = False
     abort_message = ""
-    warm = {"orlicz": None}
     last_step = n_steps
 
     for k in range(n_steps + 1):
         t = times[k]
-        _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys, grad_stack, warm)
+        _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys, grad_stack)
         if k % config.snapshot_stride == 0 or k == n_steps:
             snapshot_indices.append(k)
             snapshots.append(f.copy() if k == 0 else ScalarField(grid, v_phys.copy()))
@@ -259,7 +270,7 @@ def _even_powers(x, top):
     return powers
 
 
-def _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys, grad_stack, warm):
+def _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys, grad_stack):
     h_d = grid.cell_volume
     top = max(config.p_list)
     diag["sup_v"][k] = np.abs(v_phys).max()
@@ -293,12 +304,3 @@ def _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys, grad_stack, 
             diag[f"exp_disp_p{p}_u"][k] = coeff * disp.sum()
             # (grad exp(u^p/2))^2 = (p/2)^2 u^(2p-2) |grad u|^2 exp(u^p)
             diag[f"exp_gradexp_p{p}_u"][k] = coeff * (u_pow[p] * disp).sum()
-
-    field = ScalarField(grid, v_phys)
-    hint = warm["orlicz"]
-    bracket = None
-    if hint is not None and hint > 0:
-        bracket = (0.95 * hint, 1.05 * hint)
-    result = orlicz_norm(field, tol=config.diag_orlicz_tol, bracket_hint=bracket)
-    diag["orlicz_v"][k] = result.value
-    warm["orlicz"] = result.value

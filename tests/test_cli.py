@@ -95,6 +95,26 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert not (out / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize(
+        "section, value, status",
+        [
+            ("experiment", None, 0),  # every key has a default
+            ("grid", None, 2),  # grid.dim is required
+            ("solver", None, 2),  # solver.dt is required
+            ("verifier", None, 0),
+            ("verifier", ["orlicz_contraction"], 2),  # a list, not a mapping
+        ],
+    )
+    def test_empty_or_non_mapping_section(self, tmp_path, capsys, section, value, status):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        data = zero_drift_config(cfg, out)
+        data[section] = value
+        cfg.write_text(yaml.safe_dump(data))
+        assert main(["verify", "--config", str(cfg), "--output", str(out)]) == status
+        if status == 2:
+            assert f"config error: {section}" in capsys.readouterr().err
+
     def test_unknown_inequality_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
@@ -224,10 +244,12 @@ class TestOtherPipelines:
         write_config(cfg, tmp_path / "ignored", experiment={"seed": 2})
         assert seeds("experiment") == {2}
 
-    def test_parallel_flag_matches_sequential(self, tmp_path):
+    @pytest.mark.parametrize("sde_edit", [{"bridge": False}, {"n_path": 100}])
+    def test_sde_unknown_key_is_config_error(self, tmp_path, capsys, sde_edit):
         cfg = tmp_path / "cfg.yaml"
-        out1, out2 = tmp_path / "seq", tmp_path / "par"
-        write_config(cfg, out1)
-        assert main(["verify", "--config", str(cfg)]) == 0
-        assert main(["verify", "--config", str(cfg), "--output", str(out2), "--parallel"]) == 0
-        assert (out1 / "reports.json").read_bytes() == (out2 / "reports.json").read_bytes()
+        out = tmp_path / "run"
+        write_config(cfg, out, sde=sde_edit)
+        assert main(["sde", "--config", str(cfg)]) == 2
+        assert not (out / "sde.json").exists()
+        [key] = sde_edit
+        assert f"'{key}'" in capsys.readouterr().err

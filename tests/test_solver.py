@@ -13,8 +13,10 @@ from driftbound import (
     mollify_drift,
     solve,
 )
+from driftbound import solver as solver_module
 from driftbound.grid import irfftn, rfftn
-from driftbound.orlicz import orlicz_norm
+from driftbound.orlicz import CHECKPOINT_NORM_TOL, orlicz_norm
+from driftbound.verify import check_orlicz_contraction
 
 
 def sin_mode(grid):
@@ -202,12 +204,6 @@ class TestInvariants:
                     want[f"exp_gradexp_p{p}_u"] = h_d * (
                         (p * p / 4.0) * u ** (2 * p - 2) * u_grad_sq * exp_u
                     ).sum()
-                hint = traj.diag["orlicz_v"][k - 1] if k else None
-                want["orlicz_v"] = orlicz_norm(
-                    traj.snapshot_v(i),
-                    tol=cfg.diag_orlicz_tol,
-                    bracket_hint=(0.95 * hint, 1.05 * hint) if hint else None,
-                ).value
                 assert sorted(want) == sorted(traj.diag)
                 for name, value in want.items():
                     assert traj.diag[name][k] == pytest.approx(value, rel=1e-10), (shift, k, name)
@@ -278,3 +274,40 @@ def test_csv_stream(tmp_path, grid1d):
     first = [float(tok) for tok in lines[2].split(",")]
     assert first[0] == 0.0
     assert first[1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_orlicz_norm_once_per_snapshot(monkeypatch, tmp_path, grid1d):
+    # no norm per step; the CSV and the check share one computation
+    calls = []
+
+    def counting(f, tol):
+        calls.append(tol)
+        return orlicz_norm(f, tol=tol)
+
+    monkeypatch.setattr(solver_module, "orlicz_norm", counting)
+    cfg = SolverConfig(dt=1e-3, t_final=0.02, shift=1.5, snapshot_stride=5)
+    traj = solve(constant_drift(grid1d), sin_mode(grid1d), cfg)
+    assert calls == []
+    want = [
+        orlicz_norm(traj.snapshot_u(i), tol=CHECKPOINT_NORM_TOL).value
+        for i in range(len(traj.snapshots))
+    ]
+    traj.to_csv(tmp_path / "diag.csv")
+    for _ in range(2):
+        assert list(check_orlicz_contraction(traj, 4.0, 1.0).lhs) == want
+    assert calls == [CHECKPOINT_NORM_TOL] * len(traj.snapshots)
+
+
+def test_csv_orlicz_column_is_the_checked_norm(tmp_path, grid1d):
+    cfg = SolverConfig(dt=1e-3, t_final=0.012, shift=1.5, snapshot_stride=5)
+    traj = solve(constant_drift(grid1d), sin_mode(grid1d), cfg)
+    path = tmp_path / "diag.csv"
+    traj.to_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    column = np.array([float(row[4]) for row in rows])
+    # snapshots at steps 0, 5, 10 and the final step 12
+    assert traj.snapshot_indices == [0, 5, 10, 12]
+    lhs = check_orlicz_contraction(traj, 4.0, 1.0).lhs
+    assert np.array_equal(column[traj.snapshot_indices], lhs)
+    others = np.setdiff1d(np.arange(len(rows)), traj.snapshot_indices)
+    assert np.all(np.isnan(column[others]))
