@@ -12,10 +12,11 @@ One YAML config file describes an experiment; subcommands run slices of it:
     sde        hitting-probability sweep of the radial SDE probe
     all        verify + sde
 
-Every run writes a manifest.json listing each emitted file with its sha256
-digest, the config digest, tool version and timestamps.  Report files
-themselves carry no timestamps, so identical configs and seeds produce
-byte-identical reports.
+Every config key and its default live in DEFAULTS, and a config error
+(exit 2) is raised before any file is written.  A run that completes writes
+a manifest.json listing each emitted file with its sha256 digest, the config
+digest, tool version and timestamps.  Report files themselves carry no
+timestamps, so identical configs and seeds produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from .drift import (
 )
 from .grid import ScalarField, TorusGrid, lp_norm, read_field, write_field
 from .orlicz import modular, orlicz_norm
+from .sde import SdeConfig, delta_sweep, sweep_configs
 from .solver import SolverConfig, solve
 from .verify import (
     ANALYTIC_TOL,
@@ -62,11 +65,6 @@ INEQUALITY_IDS = (
     "exp_energy",
     "gradient_bound",
     "cauchy_convergence",
-)
-
-# every key pipeline_sde reads; any other key in the sde section is an error
-SDE_KEYS = (
-    "dim", "delta", "deltas", "x0", "t_final", "dt", "n_paths", "seed", "r_hit", "r_core", "sign"
 )
 
 TEMPLATE = """\
@@ -140,23 +138,79 @@ class ConfigError(ValueError):
     """Configuration problem with a dotted field path for context."""
 
 
+# marks a DEFAULTS key that every config must set
+REQUIRED = object()
+
+# Every config key and its default; any other key is a config error.  None
+# marks a value that is optional or derived: the drift's vector, components
+# and path, and the initial value and path, are read only by their kind;
+# core_radius defaults to two grid spacings, schedule_b to half of each
+# schedule entry, c_values to [1.2, 2, 4, 8] * <|b|^2>, initial.terms to one
+# cosine along the first axis, sde.deltas to [sde.delta] and sde.seed to
+# experiment.seed.
+DEFAULTS = {
+    "experiment": {"seed": 0, "output_dir": "runs/demo", "tolerance_tier": "singular"},
+    "grid": {"dim": REQUIRED, "n": REQUIRED},
+    "drift": {
+        "kind": REQUIRED, "delta": 4.0, "sign": -1, "core_radius": None, "cutoff_radius": 0.4,
+        "vector": None, "components": None, "path": None,
+    },
+    "mollification": {"schedule": [1.0e-2, 2.5e-3, 6.25e-4, 1.5625e-4], "schedule_b": None},
+    "formbound": {"c_values": None, "max_iter": 5000, "rq_tol": 1.0e-10},
+    "initial": {"kind": "trig", "terms": None, "value": None, "path": None},
+    "solver": {
+        "dt": REQUIRED, "t_final": REQUIRED, "shift": "auto", "snapshot_stride": 20,
+        "scheme": "if_rk2", "cfl_safety": 0.5, "p_list": [2, 4],
+    },
+    "verifier": {
+        "inequalities": list(INEQUALITY_IDS), "delta": "auto", "c_delta": "auto", "lp_p": "auto",
+    },
+    "sde": {
+        "dim": 3, "delta": 0.0, "deltas": None, "x0": [0.45, 0.0, 0.0], "t_final": 0.02,
+        "dt": 2.0e-5, "n_paths": 20000, "seed": None, "r_hit": 0.3, "r_core": 0.03, "sign": -1,
+    },
+}
+
+
 def _section(data, name):
-    """Top-level config section; one left empty in the YAML reads as {}."""
+    """Config section ``name`` merged over DEFAULTS[name].
+
+    A section left empty in the YAML takes every default.  An unknown key or
+    a missing REQUIRED one is a ConfigError.
+    """
     section = data.get(name)
     if section is None:
-        return {}
+        section = {}
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a mapping, got {type(section).__name__}")
-    return section
+    defaults = DEFAULTS[name]
+    unknown = [key for key in section if key not in defaults]
+    if unknown:
+        raise ConfigError(f"{name} has unknown keys {unknown}; known keys are {list(defaults)}")
+    for key, default in defaults.items():
+        if default is REQUIRED and section.get(key) is None:
+            raise ConfigError(f"{name}.{key} is required")
+    return {**defaults, **section}
 
 
-def _require(section, key, path, expected=None):
-    if key not in section or section[key] is None:
-        raise ConfigError(f"{path}.{key} is required")
-    value = section[key]
-    if expected is not None and not isinstance(value, expected):
-        raise ConfigError(f"{path}.{key} has type {type(value).__name__}")
-    return value
+@contextmanager
+def _checking(name):
+    """Report a ValueError or TypeError raised while reading section ``name`` as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _schedule(cfg, key):
+    schedule = [float(e) for e in cfg[key]]
+    if not schedule or schedule[-1] <= 0 or any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError(
+            f"mollification.{key} must be strictly decreasing and positive: {schedule}"
+        )
+    return schedule
 
 
 def load_config(path):
@@ -176,99 +230,135 @@ def load_config(path):
 
 
 class Experiment:
-    """Validated experiment state shared by the pipelines."""
+    """Experiment state shared by the pipelines.
+
+    Building it reads every section through DEFAULTS, in template order, and
+    checks what needs no computation: the tier, grid, drift spec, schedules,
+    form-bound budgets, solver parameters, verifier ids and constants, and the
+    sde section when there is one.  The pipelines raise their remaining config errors (a drift
+    or datum that cannot be built, a Cauchy check without two schedule
+    members) before they write any file.
+    """
 
     def __init__(self, data, output_dir=None, seed=None, tier=None):
-        exp = _section(data, "experiment")
-        self.seed = int(seed if seed is not None else exp.get("seed", 0))
-        # an explicit seed also wins over sde.seed
-        self.seed_overridden = seed is not None
-        self.output_dir = Path(output_dir or exp.get("output_dir", "runs/out"))
-        tier = tier or exp.get("tolerance_tier", "singular")
-        if tier not in ("analytic", "singular"):
-            raise ConfigError(f"experiment.tolerance_tier must be analytic|singular, got {tier!r}")
-        self.tier = tier
-        self.tol_rel = ANALYTIC_TOL if tier == "analytic" else SINGULAR_TOL
+        unknown = [name for name in data if name not in DEFAULTS]
+        if unknown:
+            raise ConfigError(f"unknown sections {unknown}; known sections are {list(DEFAULTS)}")
+        with _checking("experiment"):
+            exp = _section(data, "experiment")
+            self.seed = int(seed if seed is not None else exp["seed"])
+            # an explicit seed also wins over sde.seed
+            self.seed_overridden = seed is not None
+            self.output_dir = Path(output_dir or exp["output_dir"])
+            self.tier = tier or exp["tolerance_tier"]
+            if self.tier not in ("analytic", "singular"):
+                raise ConfigError(
+                    f"experiment.tolerance_tier must be analytic|singular, got {self.tier!r}"
+                )
+            self.tol_rel = ANALYTIC_TOL if self.tier == "analytic" else SINGULAR_TOL
 
-        grid_cfg = _section(data, "grid")
-        self.grid = TorusGrid(
-            int(_require(grid_cfg, "dim", "grid")), int(_require(grid_cfg, "n", "grid"))
-        )
+        with _checking("grid"):
+            grid = _section(data, "grid")
+            self.grid = TorusGrid(int(grid["dim"]), int(grid["n"]))
 
-        self.drift_spec = self._parse_drift(_section(data, "drift"))
-        mollification = _section(data, "mollification")
-        self.schedule = self._parse_schedule(mollification)
-        self.schedule_b = self._parse_schedule_b(mollification)
-        self.formbound = _section(data, "formbound")
+        with _checking("drift"):
+            drift = _section(data, "drift")
+            self.drift_spec = DriftSpec(
+                kind=drift["kind"],
+                delta=float(drift["delta"]),
+                sign=int(drift["sign"]),
+                core_radius=drift["core_radius"],
+                cutoff_radius=float(drift["cutoff_radius"]),
+                vector=drift["vector"],
+                components=drift["components"],
+                path=drift["path"],
+            )
+
+        with _checking("mollification"):
+            mollification = _section(data, "mollification")
+            self.schedule = _schedule(mollification, "schedule")
+            if mollification["schedule_b"] is None:
+                self.schedule_b = [0.5 * e for e in self.schedule]
+            else:
+                self.schedule_b = _schedule(mollification, "schedule_b")
+
+        with _checking("formbound"):
+            self.formbound = fb = _section(data, "formbound")
+            if fb["c_values"] is not None:
+                fb["c_values"] = [float(c) for c in fb["c_values"]]
+            fb["max_iter"], fb["rq_tol"] = int(fb["max_iter"]), float(fb["rq_tol"])
         self.initial_cfg = _section(data, "initial")
-        self.solver_cfg = _section(data, "solver")
-        self.verifier_cfg = _section(data, "verifier")
-        self.sde_cfg = _section(data, "sde")
+
+        with _checking("solver"):
+            self.solver_cfg = _section(data, "solver")
+            shift = self.solver_cfg["shift"]
+            self.solver_config(0.0 if shift == "auto" else float(shift))
+
+        with _checking("verifier"):
+            self.verifier_cfg = verifier = _section(data, "verifier")
+            unknown = [name for name in verifier["inequalities"] if name not in INEQUALITY_IDS]
+            if unknown:
+                raise ConfigError(f"verifier.inequalities contains unknown ids {unknown}")
+            if verifier["delta"] != "auto" and not float(verifier["delta"]) > 0:
+                raise ConfigError(f"verifier.delta must be > 0, got {verifier['delta']}")
+            if verifier["c_delta"] != "auto" and not float(verifier["c_delta"]) >= 0:
+                raise ConfigError(f"verifier.c_delta must be >= 0, got {verifier['c_delta']}")
+
+        with _checking("sde"):
+            sde = _section(data, "sde")
+            # (base config, swept deltas); None when the config has no sde section
+            self.sde = self._sde_sweep(sde) if data.get("sde") else None
+
         self.config_digest = hashlib.sha256(
             json.dumps(data, sort_keys=True, default=str).encode()
         ).hexdigest()
-        self._artifacts = {}
         self._t_started = time.time()
 
-    @staticmethod
-    def _parse_drift(cfg):
-        kind = _require(cfg, "kind", "drift", str)
-        try:
-            return DriftSpec(
-                kind=kind,
-                delta=float(cfg.get("delta", 4.0)),
-                sign=int(cfg.get("sign", -1)),
-                core_radius=cfg.get("core_radius"),
-                cutoff_radius=float(cfg.get("cutoff_radius", 0.4)),
-                vector=cfg.get("vector"),
-                components=cfg.get("components"),
-                path=cfg.get("path"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"drift: {exc}") from exc
-
-    @staticmethod
-    def _parse_schedule(cfg):
-        schedule = cfg.get("schedule", [1e-2, 2.5e-3, 6.25e-4, 1.5625e-4])
-        schedule = [float(e) for e in schedule]
-        if any(b >= a for a, b in zip(schedule, schedule[1:])) or schedule[-1] <= 0:
-            raise ConfigError(
-                f"mollification.schedule must be strictly decreasing and positive: {schedule}"
-            )
-        return schedule
-
-    def _parse_schedule_b(self, cfg):
-        second = cfg.get("schedule_b")
-        if second is None:
-            return [0.5 * e for e in self.schedule]
-        second = [float(e) for e in second]
-        if any(b >= a for a, b in zip(second, second[1:])) or second[-1] <= 0:
-            raise ConfigError(
-                f"mollification.schedule_b must be strictly decreasing and positive: {second}"
-            )
-        return second
+    def _sde_sweep(self, cfg):
+        seed = self.seed if self.seed_overridden or cfg["seed"] is None else cfg["seed"]
+        base = SdeConfig(
+            dim=int(cfg["dim"]),
+            delta=float(cfg["delta"]),
+            x0=tuple(cfg["x0"]),
+            t_final=float(cfg["t_final"]),
+            dt=float(cfg["dt"]),
+            n_paths=int(cfg["n_paths"]),
+            seed=int(seed),
+            r_hit=float(cfg["r_hit"]),
+            r_core=float(cfg["r_core"]),
+            sign=int(cfg["sign"]),
+        )
+        deltas = [base.delta] if cfg["deltas"] is None else [float(d) for d in cfg["deltas"]]
+        # validates every swept config, so a bad delta is a config error
+        sweep_configs(base, deltas)
+        return base, deltas
 
     # -- building blocks -------------------------------------------------
 
+    @_checking("drift")
     def build_drift(self):
-        try:
-            return build_drift(self.drift_spec, self.grid)
-        except ValueError as exc:
-            raise ConfigError(f"drift: {exc}") from exc
+        return build_drift(self.drift_spec, self.grid)
 
+    @_checking("initial")
     def build_initial(self):
         cfg = self.initial_cfg
-        kind = cfg.get("kind", "trig")
+        kind = cfg["kind"]
         if kind == "constant":
-            return ScalarField.full(self.grid, float(_require(cfg, "value", "initial")))
+            if cfg["value"] is None:
+                raise ConfigError("initial.value is required for a constant datum")
+            return ScalarField.full(self.grid, float(cfg["value"]))
         if kind == "file":
-            field = read_field(_require(cfg, "path", "initial", str))
+            if cfg["path"] is None:
+                raise ConfigError("initial.path is required for a file datum")
+            field = read_field(cfg["path"])
             if not isinstance(field, ScalarField) or field.grid != self.grid:
                 raise ConfigError("initial.path must hold a scalar field on the run grid")
             return field
         if kind != "trig":
             raise ConfigError(f"initial.kind must be trig|constant|file, got {kind!r}")
-        terms = cfg.get("terms", [[0.5, [1] + [0] * (self.grid.dim - 1)]])
+        terms = cfg["terms"]
+        if terms is None:
+            terms = [[0.5, [1] + [0] * (self.grid.dim - 1)]]
         values = np.zeros(self.grid.shape)
         coords = self.grid.coordinates
         for amplitude, wavevector in terms:
@@ -291,32 +381,29 @@ class Experiment:
         """
         if b.max_magnitude() == 0.0:
             return 4.0, 1e-8
-        delta = self.verifier_cfg.get("delta", "auto")
+        delta = self.verifier_cfg["delta"]
         if delta == "auto":
             delta = self.drift_spec.delta if self.drift_spec.kind == "hardy" else 4.0
         delta = float(delta)
-        c_delta = self.verifier_cfg.get("c_delta", "auto")
+        c_delta = self.verifier_cfg["c_delta"]
         if c_delta == "auto":
             c_delta = zeroth_order_constant(b, delta)
         return delta, float(c_delta)
 
     def solver_config(self, shift):
         cfg = self.solver_cfg
-        try:
-            return SolverConfig(
-                dt=float(_require(cfg, "dt", "solver")),
-                t_final=float(_require(cfg, "t_final", "solver")),
-                shift=shift,
-                snapshot_stride=int(cfg.get("snapshot_stride", 20)),
-                scheme=cfg.get("scheme", "if_rk2"),
-                cfl_safety=float(cfg.get("cfl_safety", 0.5)),
-                p_list=tuple(cfg.get("p_list", (2, 4))),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"solver: {exc}") from exc
+        return SolverConfig(
+            dt=float(cfg["dt"]),
+            t_final=float(cfg["t_final"]),
+            shift=shift,
+            snapshot_stride=int(cfg["snapshot_stride"]),
+            scheme=cfg["scheme"],
+            cfl_safety=float(cfg["cfl_safety"]),
+            p_list=tuple(cfg["p_list"]),
+        )
 
     def resolve_shift(self, delta, c_delta):
-        shift = self.solver_cfg.get("shift", "auto")
+        shift = self.solver_cfg["shift"]
         if shift == "auto":
             return c_delta / math.sqrt(delta)
         return float(shift)
@@ -378,17 +465,16 @@ def pipeline_norm(exp):
     return True
 
 
-def pipeline_formbound(exp):
-    b = exp.build_drift()
+def pipeline_formbound(exp, b):
     mean_sq = exp.grid.cell_volume * float(b.magnitude_squared().sum())
-    c_values = exp.formbound.get("c_values")
+    c_values = exp.formbound["c_values"]
     if c_values is None:
         c_values = [k * mean_sq for k in (1.2, 2.0, 4.0, 8.0)]
     certs = form_bound_estimate(
         b,
-        [float(c) for c in c_values],
-        max_iter=int(exp.formbound.get("max_iter", 5000)),
-        rq_tol=float(exp.formbound.get("rq_tol", 1e-10)),
+        c_values,
+        max_iter=exp.formbound["max_iter"],
+        rq_tol=exp.formbound["rq_tol"],
         seed=exp.seed,
     )
     payload = {
@@ -396,7 +482,7 @@ def pipeline_formbound(exp):
         "certificates": [c.to_json() for c in certs],
     }
     exp.emit_json("certificates.json", payload)
-    return all(c.feasible for c in certs), certs, b
+    return all(c.feasible for c in certs)
 
 
 def pipeline_mollify(exp):
@@ -450,18 +536,10 @@ def pipeline_solve(exp):
 
 
 def pipeline_verify(exp):
-    selected = list(exp.verifier_cfg.get("inequalities", INEQUALITY_IDS))
-    unknown = [name for name in selected if name not in INEQUALITY_IDS]
-    if unknown:
-        raise ConfigError(f"verifier.inequalities contains unknown ids {unknown}")
-
-    _, certs, b = pipeline_formbound(exp)
-    delta, c_delta = exp.certificate_parameters(b)
-    shift = exp.resolve_shift(delta, c_delta)
-    config = exp.solver_config(shift)
+    selected = exp.verifier_cfg["inequalities"]
+    b = exp.build_drift()
     f = exp.build_initial()
     singular_drift = b.max_magnitude() > 0
-
     members = exp.schedule if singular_drift else [0.0]
     run_cauchy = "cauchy_convergence" in selected and singular_drift
     if run_cauchy and min(len(exp.schedule), len(exp.schedule_b)) < 2:
@@ -469,6 +547,11 @@ def pipeline_verify(exp):
             "cauchy_convergence needs at least two members in mollification.schedule "
             "and mollification.schedule_b"
         )
+
+    pipeline_formbound(exp, b)
+    delta, c_delta = exp.certificate_parameters(b)
+    shift = exp.resolve_shift(delta, c_delta)
+    config = exp.solver_config(shift)
     # schedule B is solved only for the Cauchy check; every member of A and B
     # is solved exactly once
     members_b = exp.schedule_b if run_cauchy else []
@@ -488,7 +571,7 @@ def pipeline_verify(exp):
         reports.append(check_orlicz_contraction(finest, delta, c_delta, tol_rel=exp.tol_rel))
     if "lp_contraction" in selected:
         if delta < 4.0:
-            p = exp.verifier_cfg.get("lp_p", "auto")
+            p = exp.verifier_cfg["lp_p"]
             if p == "auto":
                 p = max(2, 2 * math.ceil(lp_threshold(delta) / 2))
             reports.append(
@@ -515,33 +598,7 @@ def pipeline_verify(exp):
 
 
 def pipeline_sde(exp):
-    from .sde import SdeConfig, delta_sweep, sweep_configs
-
-    cfg = exp.sde_cfg
-    if not cfg:
-        raise ConfigError("sde section missing")
-    unknown = sorted(set(cfg) - set(SDE_KEYS))
-    if unknown:
-        raise ConfigError(f"sde has unknown keys {unknown}; known keys are {list(SDE_KEYS)}")
-    seed = exp.seed if exp.seed_overridden else cfg.get("seed", exp.seed)
-    try:
-        base = SdeConfig(
-            dim=int(cfg.get("dim", 3)),
-            delta=float(cfg.get("delta", 0.0)),
-            x0=tuple(cfg.get("x0", (0.45, 0.0, 0.0))),
-            t_final=float(cfg.get("t_final", 0.02)),
-            dt=float(cfg.get("dt", 2e-5)),
-            n_paths=int(cfg.get("n_paths", 20000)),
-            seed=int(seed),
-            r_hit=float(cfg.get("r_hit", 0.3)),
-            r_core=float(cfg.get("r_core", 0.03)),
-            sign=int(cfg.get("sign", -1)),
-        )
-        deltas = [float(d) for d in cfg.get("deltas", [base.delta])]
-        # validates every swept config, so a bad delta is a config error
-        sweep_configs(base, deltas)
-    except ValueError as exc:
-        raise ConfigError(f"sde: {exc}") from exc
+    base, deltas = exp.sde
     results = delta_sweep(base, deltas)
     exp.emit_json("sde.json", {"sweep": [s.to_json() for s in results]})
     lines = [f"{'delta':>8s} {'hit_fraction':>13s} {'ci':>9s} {'mean_hit_time':>14s}"]
@@ -562,7 +619,7 @@ def pipeline_sde(exp):
 
 PIPELINES = {
     "norm": pipeline_norm,
-    "formbound": lambda exp: pipeline_formbound(exp)[0],
+    "formbound": lambda exp: pipeline_formbound(exp, exp.build_drift()),
     "mollify": pipeline_mollify,
     "solve": pipeline_solve,
     "verify": pipeline_verify,
@@ -571,17 +628,26 @@ PIPELINES = {
 
 
 def run(subcommand, config_data, output_dir=None, seed=None, tier=None):
-    """Execute a pipeline; returns the process exit status."""
+    """Execute a pipeline; returns the process exit status.
+
+    0: every check passed; 1: a check failed; 2: config error, raised before
+    any file is written; 3: a pipeline failed at run time (a CFL violation,
+    an aborted solve, a check that cannot apply to the computed values).
+    """
     try:
         exp = Experiment(config_data, output_dir=output_dir, seed=seed, tier=tier)
-        if subcommand == "all":
-            ok = pipeline_verify(exp)
-            ok = pipeline_sde(exp) and ok
-        else:
-            ok = PIPELINES[subcommand](exp)
+        names = ["verify", "sde"] if subcommand == "all" else [subcommand]
+        if "sde" in names and exp.sde is None:
+            raise ConfigError("sde section missing")
+        ok = True
+        for name in names:
+            ok = PIPELINES[name](exp) and ok
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, RuntimeError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
     exp.write_manifest(ok)
     return 0 if ok else 1
 

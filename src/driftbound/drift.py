@@ -1,4 +1,4 @@
-"""Singular drift construction, Morrey norm, mollification and form bounds.
+"""Singular drift construction, mollification and form bounds.
 
 The central object is the form-bound certificate (delta_hat, c): for a drift
 b and a zeroth-order budget c >= <|b|^2>,
@@ -37,7 +37,6 @@ __all__ = [
     "DriftSpec",
     "FormBoundCertificate",
     "build_drift",
-    "morrey_norm",
     "mollify_drift",
     "form_bound_estimate",
     "zeroth_order_constant",
@@ -155,43 +154,6 @@ def build_drift(spec, grid):
     return VectorField(grid, comps)
 
 
-def _torus_distance_sq(grid):
-    """Squared torus distance of every grid offset from the origin."""
-    j = np.arange(grid.n)
-    axis = np.minimum(j, grid.n - j) * grid.spacing
-    axes = np.meshgrid(*([axis] * grid.dim), indexing="ij", sparse=True)
-    return sum(np.broadcast_to(a, grid.shape) ** 2 for a in axes)
-
-
-def morrey_norm(b, eps, radii):
-    """Discrete Morrey norm sup_{r, x} r * (ball mean of |b|^(2+eps))^(1/(2+eps)).
-
-    Ball means use a hard indicator over grid points within torus distance r
-    of each center, evaluated for every center at once by FFT convolution.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    radii = [float(r) for r in radii]
-    if not radii:
-        raise ValueError("radii list must be nonempty")
-    for r in radii:
-        if not 0.0 < r <= 0.5:
-            raise ValueError(f"radii must lie in (0, 1/2], got {r}")
-    grid = b.grid
-    power = 2.0 + eps
-    w = b.magnitude_squared() ** (power / 2.0)
-    w_hat = rfftn(w)
-    dist_sq = _torus_distance_sq(grid)
-    best = 0.0
-    for r in radii:
-        indicator = (dist_sq <= r * r * (1.0 + 1e-12)).astype(float)
-        count = indicator.sum()
-        ball_sums = irfftn(w_hat * rfftn(indicator), grid.shape)
-        mean_max = max(ball_sums.max() / count, 0.0)
-        best = max(best, r * mean_max ** (1.0 / power))
-    return float(best)
-
-
 def mollify_drift(b, eps):
     """Heat-semigroup mollification applied componentwise; eps = 0 is identity."""
     if eps < 0:
@@ -254,7 +216,7 @@ class _PreconditionedOperator:
         return self.inv_sqrt * rfftn(self.multiplier * phi)
 
 
-def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0, start=None):
+def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0):
     """Estimate delta_hat(c) for each budget c by preconditioned power iteration.
 
     Returns one FormBoundCertificate per entry of c_values, in order.  Budgets
@@ -264,12 +226,9 @@ def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0, start=
     grid = b.grid
     b_sq = b.magnitude_squared()
     mean_b_sq = grid.cell_volume * float(b_sq.sum())
-    if start is not None:
-        start_values = start.values
-    else:
-        rng = np.random.default_rng(seed)
-        x0 = np.broadcast_to(grid.coordinates[0], grid.shape)
-        start_values = np.cos(2.0 * np.pi * x0) + 1e-3 * rng.standard_normal(grid.shape)
+    rng = np.random.default_rng(seed)
+    x0 = np.broadcast_to(grid.coordinates[0], grid.shape)
+    start_values = np.cos(2.0 * np.pi * x0) + 1e-3 * rng.standard_normal(grid.shape)
 
     certificates = []
     for c in c_values:
@@ -296,10 +255,7 @@ def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0, start=
 def _power_iteration(grid, b_sq, c, start_values, max_iter, rq_tol):
     op = _PreconditionedOperator(grid, b_sq, c)
     psi = op.project(rfftn(start_values))
-    norm = math.sqrt(_weighted_dot(grid, psi, psi))
-    if norm == 0.0:
-        raise ValueError("starting vector has no mean-zero content")
-    psi /= norm
+    psi /= math.sqrt(_weighted_dot(grid, psi, psi))
     # Poincare bound: the operator spectrum sits above -c / (4 pi^2), so this
     # shift keeps the iterated operator positive semidefinite.
     shift = c / (4.0 * math.pi**2)

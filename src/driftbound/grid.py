@@ -22,7 +22,6 @@ __all__ = [
     "VectorField",
     "integrate",
     "gradient",
-    "divergence",
     "laplacian",
     "heat_semigroup",
     "lp_norm",
@@ -241,14 +240,6 @@ def gradient(f):
         for g in f.grid.gradient_symbols
     )
     return VectorField(f.grid, comps)
-
-
-def divergence(v):
-    """Spectral divergence of a vector field (same Nyquist convention)."""
-    out = np.zeros(v.grid.shape)
-    for c, g in zip(v.components, v.grid.gradient_symbols):
-        out += irfftn(rfftn(c.values) * g, v.grid.shape)
-    return ScalarField(v.grid, out)
 
 
 def laplacian(f):

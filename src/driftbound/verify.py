@@ -26,7 +26,6 @@ __all__ = [
     "VerificationReport",
     "check_orlicz_contraction",
     "check_lp_contraction",
-    "lp_growth_trace",
     "check_cosh_energy",
     "check_exp_energy",
     "check_gradient_bound",
@@ -200,16 +199,6 @@ def check_lp_contraction(traj, p, delta, c_delta, tol_rel=ANALYTIC_TOL):
         passed=_passes(lhs, rhs, tol_rel),
         notes={"threshold": threshold, "rate": rate},
     )
-
-
-def lp_growth_trace(traj, p):
-    """||u(t)||_p / ||f||_p at checkpoints, recorded without any claim.
-
-    Companion to check_lp_contraction for exponents below the threshold.
-    """
-    _require_clean(traj)
-    lhs = np.array([lp_norm(traj.snapshot_u(i), p) for i in range(len(traj.snapshots))])
-    return traj.snapshot_times, lhs / lhs[0]
 
 
 def check_cosh_energy(traj, delta, c_delta, tol_rel=ANALYTIC_TOL):

@@ -4,7 +4,7 @@ import json
 import pytest
 import yaml
 
-from driftbound.cli import main
+from driftbound.cli import DEFAULTS, REQUIRED, load_config, main
 
 
 def write_config(path, output_dir, **overrides):
@@ -51,6 +51,18 @@ class TestInit:
         assert data["grid"]["n"] == 32
         assert data["drift"]["kind"] == "hardy"
 
+    def test_template_shows_the_defaults(self, tmp_path):
+        target = tmp_path / "exp.yaml"
+        assert main(["init", "--config", str(target)]) == 0
+        template = load_config(target)
+        assert set(template) == set(DEFAULTS)
+        for section, values in template.items():
+            for key, shown in values.items():
+                assert key in DEFAULTS[section], f"{section}.{key}"
+                default = DEFAULTS[section][key]
+                if default is not REQUIRED and default is not None:
+                    assert shown == default, f"{section}.{key}"
+
     def test_refuses_overwrite_without_force(self, tmp_path):
         target = tmp_path / "exp.yaml"
         target.write_text("keep: me\n")
@@ -93,7 +105,32 @@ class TestVerify:
         out = tmp_path / "run"
         write_config(cfg, out, mollification=mollification)
         assert main(["verify", "--config", str(cfg)]) == 2
-        assert not (out / "diagnostics.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, edit",
+        [
+            ("verifier", {"delta": 0.0}),
+            ("verifier", {"delta": -1.0}),
+            ("verifier", {"c_delta": -1.0}),
+            ("formbound", {"max_iter": "many"}),
+            ("initial", {"terms": [[0.5]]}),  # a term without its wavevector
+        ],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, **{section: edit})
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert not out.exists()
+        assert f"config error: {section}" in capsys.readouterr().err
+
+    def test_cfl_violation_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, solver={"dt": 2e-2})
+        assert main(["verify", "--config", str(cfg)]) == 3
+        assert "runtime error: CFL violation" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, value, status",
@@ -244,12 +281,42 @@ class TestOtherPipelines:
         write_config(cfg, tmp_path / "ignored", experiment={"seed": 2})
         assert seeds("experiment") == {2}
 
-    @pytest.mark.parametrize("sde_edit", [{"bridge": False}, {"n_path": 100}])
-    def test_sde_unknown_key_is_config_error(self, tmp_path, capsys, sde_edit):
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sde", "bridge", False),
+            ("sde", "n_path", 100),
+            ("verifier", "inequalitys", ["orlicz_contraction"]),
+            ("solver", "snapshot_strid", 5),
+            ("grid", "N", 16),
+            ("drift", "cutof_radius", 0.3),
+            (None, "solvr", {"dt": 1e-3}),  # a top-level section
+        ],
+        ids=[
+            "sde.bridge",
+            "sde.n_path",
+            "verifier.inequalitys",
+            "solver.snapshot_strid",
+            "grid.N",
+            "drift.cutof_radius",
+            "solvr",
+        ],
+    )
+    def test_sde_unknown_key_is_config_error(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
-        write_config(cfg, out, sde=sde_edit)
-        assert main(["sde", "--config", str(cfg)]) == 2
-        assert not (out / "sde.json").exists()
-        [key] = sde_edit
-        assert f"'{key}'" in capsys.readouterr().err
+        overrides = {key: value} if section is None else {section: {key: value}}
+        write_config(cfg, out, **overrides)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err
+
+    def test_all_checks_sde_before_any_work(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        data = zero_drift_config(cfg, out)
+        data["sde"]["bridge"] = False
+        cfg.write_text(yaml.safe_dump(data))
+        assert main(["all", "--config", str(cfg)]) == 2
+        assert not out.exists()

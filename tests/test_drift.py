@@ -15,7 +15,6 @@ from driftbound import (
     heat_semigroup,
     integrate,
     mollify_drift,
-    morrey_norm,
     verify_form_bound,
     write_field,
 )
@@ -82,32 +81,6 @@ class TestBuildDrift:
         x1 = np.broadcast_to(grid2d.coordinates[0], grid2d.shape)
         assert np.abs(b.components[0].values - 0.5 * np.cos(2 * np.pi * x1)).max() < 1e-14
         assert np.all(b.components[1].values == 0.0)
-
-
-class TestMorreyNorm:
-    def test_zero_field(self, grid2d):
-        assert morrey_norm(VectorField.zeros(grid2d), 0.5, [0.1, 0.25]) == 0.0
-
-    def test_constant_field_closed_form(self, grid2d):
-        beta = 1.3
-        b = build_drift(DriftSpec(kind="constant", vector=(beta, 0.0)), grid2d)
-        # ball mean of a constant is the constant, so the sup is beta * max radius
-        radii = [0.1, 0.2, 0.35]
-        assert morrey_norm(b, 0.5, radii) == pytest.approx(beta * 0.35, rel=1e-12)
-
-    def test_hardy_estimate_stabilizes_under_refinement(self):
-        # the default core (two spacings) must resolve the smallest ball,
-        # so the refinement study starts at n = 32
-        radii = [0.1, 0.2]
-        values = []
-        for n in (32, 64):
-            grid = TorusGrid(3, n)
-            values.append(morrey_norm(hardy(grid), 0.5, radii))
-        assert abs(values[1] - values[0]) <= 0.1 * abs(values[1])
-
-    def test_rejects_empty_radii(self, grid2d):
-        with pytest.raises(ValueError, match="nonempty"):
-            morrey_norm(VectorField.zeros(grid2d), 0.5, [])
 
 
 class TestMollifyDrift:

@@ -5,7 +5,6 @@ from driftbound import (
     ScalarField,
     TorusGrid,
     VectorField,
-    divergence,
     gradient,
     heat_semigroup,
     integrate,
@@ -99,13 +98,6 @@ class TestLaplacian:
     def test_constant(self, grid3d):
         out = laplacian(ScalarField.full(grid3d, 1.0))
         assert np.abs(out.values).max() < 1e-12
-
-    def test_divergence_of_gradient(self, grid2d, rng):
-        f = random_band_limited(grid2d, rng, kmax=grid2d.n // 4)
-        lhs = divergence(gradient(f)).values
-        rhs = laplacian(f).values
-        assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
-
 
 class TestHeatSemigroup:
     def test_eigenfunction_decay(self, grid1d):

@@ -18,7 +18,6 @@ from driftbound import (
     check_gradient_bound,
     check_lp_contraction,
     check_orlicz_contraction,
-    lp_growth_trace,
     lp_threshold,
     mollify_drift,
     render_reports,
@@ -128,18 +127,6 @@ class TestLpContraction:
         )
         report = check_lp_contraction(traj, 2, 1.0, c1, tol_rel=SINGULAR_TOL)
         assert report.passed
-
-    def test_growth_trace_makes_no_claim(self, grid1d):
-        f = cos_datum(grid1d)
-        traj = solve(
-            VectorField.zeros(grid1d),
-            f,
-            SolverConfig(dt=1e-3, t_final=0.02, snapshot_stride=10),
-        )
-        times, ratios = lp_growth_trace(traj, 2)
-        assert ratios[0] == 1.0
-        assert len(times) == len(ratios)
-
 
 class TestCoshEnergy:
     def test_zero_datum(self, grid1d):
