@@ -1,80 +1,19 @@
-"""Spectral toolkit for advection-diffusion with form-bounded drifts on the unit torus."""
+"""Spectral toolkit for advection-diffusion with form-bounded drifts on the unit torus.
 
-from .grid import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    gradient,
-    heat_semigroup,
-    integrate,
-    laplacian,
-    lp_norm,
-    read_field,
-    write_field,
-)
-from .orlicz import ACOSH2, OrliczNorm, modular, orlicz_norm, phi
-from .drift import (
-    DriftSpec,
-    FormBoundCertificate,
-    build_drift,
-    form_bound_estimate,
-    mollify_drift,
-    verify_form_bound,
-)
-from .solver import SolverConfig, Trajectory, solve
-from .verify import (
-    ANALYTIC_TOL,
-    SINGULAR_TOL,
-    VerificationReport,
-    check_cauchy_convergence,
-    check_cosh_energy,
-    check_exp_energy,
-    check_gradient_bound,
-    check_lp_contraction,
-    check_orlicz_contraction,
-    lp_threshold,
-    refinement_study,
-    render_reports,
-)
+The package re-exports the public names of its layers, as each module's
+__all__ lists them.
+"""
+
+from . import drift, grid, orlicz, solver, verify
+from .drift import *  # noqa: F403
+from .grid import *  # noqa: F403
+from .orlicz import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TorusGrid",
-    "ScalarField",
-    "VectorField",
-    "integrate",
-    "gradient",
-    "laplacian",
-    "heat_semigroup",
-    "lp_norm",
-    "write_field",
-    "read_field",
-    "phi",
-    "modular",
-    "orlicz_norm",
-    "OrliczNorm",
-    "ACOSH2",
-    "DriftSpec",
-    "FormBoundCertificate",
-    "build_drift",
-    "mollify_drift",
-    "form_bound_estimate",
-    "verify_form_bound",
-    "SolverConfig",
-    "Trajectory",
-    "solve",
-    "ANALYTIC_TOL",
-    "SINGULAR_TOL",
-    "VerificationReport",
-    "check_orlicz_contraction",
-    "check_lp_contraction",
-    "lp_threshold",
-    "check_cosh_energy",
-    "check_exp_energy",
-    "check_gradient_bound",
-    "check_cauchy_convergence",
-    "refinement_study",
-    "render_reports",
+    *grid.__all__, *orlicz.__all__, *drift.__all__, *solver.__all__, *verify.__all__,
     "__version__",
 ]

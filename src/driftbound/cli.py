@@ -147,7 +147,9 @@ REQUIRED = object()
 # core_radius defaults to two grid spacings, schedule_b to half of each
 # schedule entry, c_values to [1.2, 2, 4, 8] * <|b|^2>, initial.terms to one
 # cosine along the first axis, sde.deltas to [sde.delta] and sde.seed to
-# experiment.seed.
+# experiment.seed.  formbound.rq_tol is the relative eigen-residual
+# ||A psi - rho psi|| / |rho| a form-bound certificate must reach to count as
+# converged, and formbound.max_iter caps its operator applications.
 DEFAULTS = {
     "experiment": {"seed": 0, "output_dir": "runs/demo", "tolerance_tier": "singular"},
     "grid": {"dim": REQUIRED, "n": REQUIRED},
@@ -175,8 +177,9 @@ DEFAULTS = {
 def _section(data, name):
     """Config section ``name`` merged over DEFAULTS[name].
 
-    A section left empty in the YAML takes every default.  An unknown key or
-    a missing REQUIRED one is a ConfigError.
+    A section left empty in the YAML takes every default.  An unknown key, a
+    missing REQUIRED one, or a null for a key with a concrete default is a
+    ConfigError.
     """
     section = data.get(name)
     if section is None:
@@ -190,6 +193,8 @@ def _section(data, name):
     for key, default in defaults.items():
         if default is REQUIRED and section.get(key) is None:
             raise ConfigError(f"{name}.{key} is required")
+        if default is not None and key in section and section[key] is None:
+            raise ConfigError(f"{name}.{key} must not be null; its default is {default!r}")
     return {**defaults, **section}
 
 
@@ -234,10 +239,12 @@ class Experiment:
 
     Building it reads every section through DEFAULTS, in template order, and
     checks what needs no computation: the tier, grid, drift spec, schedules,
-    form-bound budgets, solver parameters, verifier ids and constants, and the
-    sde section when there is one.  The pipelines raise their remaining config errors (a drift
-    or datum that cannot be built, a Cauchy check without two schedule
-    members) before they write any file.
+    form-bound budgets, solver parameters (a whole number of steps included),
+    verifier ids and constants (an explicit lp_p against the threshold of a
+    delta known from the config), and the sde section when there is one.
+    The pipelines raise their remaining config errors (a drift or datum that
+    cannot be built, a Cauchy check without two schedule members) before they
+    write any file.
     """
 
     def __init__(self, data, output_dir=None, seed=None, tier=None):
@@ -303,6 +310,19 @@ class Experiment:
                 raise ConfigError(f"verifier.delta must be > 0, got {verifier['delta']}")
             if verifier["c_delta"] != "auto" and not float(verifier["c_delta"]) >= 0:
                 raise ConfigError(f"verifier.c_delta must be >= 0, got {verifier['c_delta']}")
+            # the checks' delta for every nonzero drift
+            delta = verifier["delta"]
+            if delta == "auto":
+                delta = self.drift_spec.delta if self.drift_spec.kind == "hardy" else 4.0
+            self.delta = float(delta)
+            p = verifier["lp_p"]
+            if "lp_contraction" in verifier["inequalities"] and p != "auto" and self.delta < 4.0:
+                threshold = lp_threshold(self.delta)
+                if float(p) < threshold - 1e-12:
+                    raise ConfigError(
+                        f"verifier.lp_p={p} is below the threshold 2/(2 - sqrt(delta)) = "
+                        f"{threshold:.6g} for delta={self.delta}"
+                    )
 
         with _checking("sde"):
             sde = _section(data, "sde")
@@ -381,14 +401,10 @@ class Experiment:
         """
         if b.max_magnitude() == 0.0:
             return 4.0, 1e-8
-        delta = self.verifier_cfg["delta"]
-        if delta == "auto":
-            delta = self.drift_spec.delta if self.drift_spec.kind == "hardy" else 4.0
-        delta = float(delta)
         c_delta = self.verifier_cfg["c_delta"]
         if c_delta == "auto":
-            c_delta = zeroth_order_constant(b, delta)
-        return delta, float(c_delta)
+            c_delta = zeroth_order_constant(b, self.delta)
+        return self.delta, float(c_delta)
 
     def solver_config(self, shift):
         cfg = self.solver_cfg

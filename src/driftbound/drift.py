@@ -7,16 +7,20 @@ b and a zeroth-order budget c >= <|b|^2>,
 
 over mean-zero, Nyquist-free grid fields.  The supremum is the top
 generalized eigenvalue of (M - c, L) with M pointwise multiplication by
-|b|^2 and L the discrete Dirichlet form; it is computed by power iteration on
-the symmetrized operator L^(-1/2) (M - c) L^(-1/2), applied with FFTs, with a
-spectral shift that keeps the iterated operator positive semidefinite.
-Budgets c below <|b|^2> are infeasible: the constant trial function already
-forces an infinite gradient budget there.
+|b|^2 and L the discrete Dirichlet form: the top eigenvalue of the
+symmetrized operator L^(-1/2) (M - c) L^(-1/2), applied with FFTs.  Budgets c
+below <|b|^2> are infeasible: the constant trial function already forces an
+infinite gradient budget there.  The zeroth-order constant c(delta) is the
+top eigenvalue of |b|^2 - delta L.  Both come from one eigen-engine, LOBPCG
+(Knyazev, SIAM J. Sci. Comput. 23, 2001), stopped on the relative
+eigen-residual ||A psi - rho psi|| / |rho|; some eigenvalue of A lies within
+||A psi - rho psi|| of rho.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -165,9 +169,12 @@ def mollify_drift(b, eps):
 class FormBoundCertificate:
     """A (delta_hat, c) pair with the trial-space evidence that produced it.
 
-    witness is the maximizing mean-zero trial function (L2-normalized);
-    residual is the final relative Rayleigh-quotient increment.  Infeasible
-    budgets (c below <|b|^2>) carry delta_hat = inf and no witness.
+    witness is the maximizing mean-zero trial function (L2-normalized).
+    residual is the relative eigen-residual ||A psi - rho psi|| / |rho| of the
+    final Ritz pair (rho = rayleigh_quotient), so some eigenvalue of A lies
+    within residual * |rho| of rho; converged means residual <= rq_tol.
+    iterations counts the operator applications.  Infeasible budgets (c below
+    <|b|^2>) carry delta_hat = inf and no witness.
     """
 
     c_delta: float
@@ -183,52 +190,82 @@ class FormBoundCertificate:
         return {
             "c": self.c_delta,
             "delta_hat": None if math.isinf(self.delta_hat) else self.delta_hat,
-            "residual": None if math.isnan(self.residual) else self.residual,
+            "residual": self.residual if math.isfinite(self.residual) else None,
             "iterations": self.iterations,
             "converged": self.converged,
             "feasible": self.feasible,
         }
 
 
-def _weighted_dot(grid, a, b):
-    w = grid.parseval_weights
-    return float(np.sum(w * (a.conj() * b).real))
+def _top_eigenpair(apply, precondition, x0, tol, max_iter):
+    """Top eigenpair of the symmetric operator ``apply`` by LOBPCG.
 
+    apply and precondition (None for none) map a grid array to one.  Returns
+    (rho, psi, residual, converged, applications): psi is the unit Ritz
+    vector, rho its Rayleigh quotient and residual ||A psi - rho psi|| / |rho|,
+    recomputed here (0 for the zero operator).  LOBPCG is restarted from its
+    best iterate until residual <= tol, or until another pass could take
+    the operator applications past max_iter.
+    """
+    applications = 0
 
-class _PreconditionedOperator:
-    """L^(-1/2) (M - c) L^(-1/2) acting on rfftn spectra of mean-zero fields."""
+    def matmat(block):  # one column: the block size is 1
+        nonlocal applications
+        applications += 1
+        return apply(block.reshape(x0.shape)).reshape(block.shape)
 
-    def __init__(self, grid, b_sq, c):
-        self.grid = grid
-        self.multiplier = b_sq - c
-        sym = grid.dirichlet_symbol
-        inv = np.zeros_like(sym)
-        positive = sym > 0
-        inv[positive] = 1.0 / np.sqrt(sym[positive])
-        self.inv_sqrt = inv
-        self.support = positive
+    def premat(block):
+        return precondition(block.reshape(x0.shape)).reshape(block.shape)
 
-    def project(self, spectrum):
-        return np.where(self.support, spectrum, 0.0)
+    def rayleigh(psi):
+        a_psi = matmat(psi)
+        rho = float(np.vdot(psi, a_psi))
+        r = float(np.linalg.norm(a_psi - rho * psi))
+        return rho, r / abs(rho) if rho else (math.inf if r else 0.0)
 
-    def apply(self, spectrum):
-        phi = irfftn(self.inv_sqrt * spectrum, self.grid.shape)
-        return self.inv_sqrt * rfftn(self.multiplier * phi)
+    psi = x0.reshape(-1, 1) / np.linalg.norm(x0)
+    rho, residual = rayleigh(psi)
+    # a lobpcg pass with maxiter m applies A at most m + 3 times, and the
+    # check after it once more
+    while residual > tol and applications + 4 <= max_iter:
+        # lobpcg tests the absolute residual, and warns when it misses it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            psi = scipy.sparse.linalg.lobpcg(
+                matmat,
+                psi,
+                M=premat if precondition else None,
+                tol=max(tol * abs(rho), np.finfo(float).tiny),
+                maxiter=max_iter - applications - 4,
+                largest=True,
+            )[1]
+        psi /= np.linalg.norm(psi)
+        rho, residual = rayleigh(psi)
+    return rho, psi.reshape(x0.shape), residual, residual <= tol, applications
 
 
 def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0):
-    """Estimate delta_hat(c) for each budget c by preconditioned power iteration.
+    """Estimate delta_hat(c) for each budget c with the eigen-engine.
 
     Returns one FormBoundCertificate per entry of c_values, in order.  Budgets
-    below <|b|^2> are reported infeasible.  Non-convergence within max_iter
-    returns the best iterate with residual above rq_tol and converged False.
+    below <|b|^2> are reported infeasible.  A pair still above rq_tol after
+    max_iter operator applications is returned with converged False.
     """
     grid = b.grid
     b_sq = b.magnitude_squared()
     mean_b_sq = grid.cell_volume * float(b_sq.sum())
+    sym = grid.dirichlet_symbol
+    # L^(-1/2) on mean-zero, Nyquist-free fields; zero on the other modes
+    inv_sqrt = np.zeros_like(sym)
+    inv_sqrt[sym > 0] = 1.0 / np.sqrt(sym[sym > 0])
+
+    def inverse_sqrt(phi):
+        return irfftn(inv_sqrt * rfftn(phi), grid.shape)
+
     rng = np.random.default_rng(seed)
     x0 = np.broadcast_to(grid.coordinates[0], grid.shape)
-    start_values = np.cos(2.0 * np.pi * x0) + 1e-3 * rng.standard_normal(grid.shape)
+    start = np.cos(2.0 * np.pi * x0) + 1e-3 * rng.standard_normal(grid.shape)
+    start = irfftn(np.where(sym > 0, rfftn(start), 0.0), grid.shape)
 
     certificates = []
     for c in c_values:
@@ -246,54 +283,24 @@ def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0):
                 )
             )
             continue
+        multiplier = b_sq - c
+        rho, psi, residual, converged, iterations = _top_eigenpair(
+            lambda phi: inverse_sqrt(multiplier * inverse_sqrt(phi)), None, start, rq_tol, max_iter
+        )
+        witness = inverse_sqrt(psi)
+        witness /= math.sqrt(grid.cell_volume * float((witness**2).sum()))
         certificates.append(
-            _power_iteration(grid, b_sq, c, start_values, max_iter, rq_tol)
+            FormBoundCertificate(
+                c_delta=c,
+                delta_hat=max(rho, 0.0),
+                witness=ScalarField(grid, witness),
+                residual=residual,
+                iterations=iterations,
+                converged=converged,
+                rayleigh_quotient=rho,
+            )
         )
     return certificates
-
-
-def _power_iteration(grid, b_sq, c, start_values, max_iter, rq_tol):
-    op = _PreconditionedOperator(grid, b_sq, c)
-    psi = op.project(rfftn(start_values))
-    psi /= math.sqrt(_weighted_dot(grid, psi, psi))
-    # Poincare bound: the operator spectrum sits above -c / (4 pi^2), so this
-    # shift keeps the iterated operator positive semidefinite.
-    shift = c / (4.0 * math.pi**2)
-
-    a_psi = op.apply(psi)
-    rho = _weighted_dot(grid, psi, a_psi)
-    residual = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        z = a_psi + shift * psi
-        z_norm = math.sqrt(_weighted_dot(grid, z, z))
-        if z_norm == 0.0:
-            residual = 0.0
-            converged = True
-            break
-        psi = z / z_norm
-        a_psi = op.apply(psi)
-        rho_new = _weighted_dot(grid, psi, a_psi)
-        residual = abs(rho_new - rho) / max(abs(rho_new), 1e-300)
-        rho = rho_new
-        if residual < rq_tol:
-            converged = True
-            break
-
-    witness_values = irfftn(op.inv_sqrt * psi, grid.shape)
-    witness_norm = math.sqrt(grid.cell_volume * float((witness_values**2).sum()))
-    if witness_norm > 0:
-        witness_values = witness_values / witness_norm
-    return FormBoundCertificate(
-        c_delta=c,
-        delta_hat=max(rho, 0.0),
-        witness=ScalarField(grid, witness_values),
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-        rayleigh_quotient=rho,
-    )
 
 
 def zeroth_order_constant(b, delta, tol=1e-9):
@@ -304,29 +311,34 @@ def zeroth_order_constant(b, delta, tol=1e-9):
     Unlike the mean-zero sweep of form_bound_estimate, this constant covers
     constant-rich trial functions too, which the energy-inequality checks
     feed through exp(u^p / 2).  Always at least <|b|^2> (the constant trial).
+    The eigen-engine, preconditioned by (delta L + max|b|^2)^(-1), must reach
+    the relative eigen-residual tol within 1000 operator applications, else
+    RuntimeError.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     grid = b.grid
     b_sq = b.magnitude_squared()
+    top = float(b_sq.max())
+    if top == 0.0:
+        return 0.0  # -delta L is negative semidefinite and vanishes on constants
     sym = grid.dirichlet_symbol
-    shape = grid.shape
-
-    def matvec(vec):
-        phi = vec.reshape(shape)
-        out = b_sq * phi - delta * irfftn(rfftn(phi) * sym, shape)
-        return out.ravel()
-
-    operator = scipy.sparse.linalg.LinearOperator(
-        (grid.size, grid.size), matvec=matvec, dtype=float
-    )
+    inverse = 1.0 / (delta * sym + top)
     rng = np.random.default_rng(0)
-    v0 = np.ones(grid.size) + 1e-3 * rng.standard_normal(grid.size)
-    top = scipy.sparse.linalg.eigsh(
-        operator, k=1, which="LA", v0=v0, tol=tol, return_eigenvectors=False
+    x0 = np.ones(grid.shape) + 1e-3 * rng.standard_normal(grid.shape)
+    rho, _, residual, converged, applications = _top_eigenpair(
+        lambda phi: b_sq * phi - delta * irfftn(rfftn(phi) * sym, grid.shape),
+        lambda r: irfftn(inverse * rfftn(r), grid.shape),
+        x0,
+        tol,
+        max_iter=1000,
     )
-    mean_b_sq = grid.cell_volume * float(b_sq.sum())
-    return max(float(top[0]), mean_b_sq)
+    if not converged:
+        raise RuntimeError(
+            f"c(delta) eigen-solve for delta={delta} stopped at relative residual "
+            f"{residual:.3g} > {tol:g} after {applications} operator applications"
+        )
+    return max(rho, grid.cell_volume * float(b_sq.sum()))
 
 
 def verify_form_bound(b, delta, c_delta, trials):

@@ -139,14 +139,6 @@ class TorusGrid:
             mask &= np.abs(k) <= cut
         return mask
 
-    @cached_property
-    def parseval_weights(self):
-        """Multiplicity of each rfftn mode in the full spectrum (1 or 2)."""
-        w = np.full(self.spectral_shape, 2.0)
-        w[..., 0] = 1.0
-        w[..., -1] = 1.0
-        return w
-
 
 def _as_values(grid, values):
     arr = np.asarray(values, dtype=float)

@@ -53,6 +53,10 @@ class SolverConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_final <= 0:
             raise ValueError(f"t_final must be > 0, got {self.t_final}")
+        if self.n_steps < 1 or abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
+            raise ValueError(
+                f"t_final={self.t_final} must be a whole number of steps of dt={self.dt}"
+            )
         if self.shift < 0:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
         if self.snapshot_stride < 1:
@@ -63,6 +67,10 @@ class SolverConfig:
             if p != int(p) or int(p) < 2 or int(p) % 2:
                 raise ValueError(f"p_list entries must be even integers >= 2, got {p}")
         self.p_list = tuple(int(p) for p in self.p_list)
+
+    @property
+    def n_steps(self):
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass
@@ -119,9 +127,6 @@ class Trajectory:
                 for i in range(len(self.snapshots))
             ]
         )
-
-    def initial_datum(self):
-        return self.snapshots[0]
 
     def to_csv(self, path):
         """Stream per-step diagnostics of the unshifted solution u.
@@ -182,11 +187,7 @@ def solve(b_smooth, f, config):
             f"CFL violation: dt={config.dt} exceeds cfl_safety*h/max|b| = "
             f"{config.cfl_safety * h / b_max:.3e}"
         )
-    n_steps = int(round(config.t_final / config.dt))
-    if n_steps < 1 or abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
-        raise ValueError(
-            f"t_final={config.t_final} must be a whole number of steps of dt={config.dt}"
-        )
+    n_steps = config.n_steps
 
     factor = np.exp(config.dt * (grid.laplace_symbol - config.shift))
     grad_syms = tuple(g * mask for g in grid.gradient_symbols)

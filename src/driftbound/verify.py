@@ -26,6 +26,7 @@ __all__ = [
     "VerificationReport",
     "check_orlicz_contraction",
     "check_lp_contraction",
+    "lp_threshold",
     "check_cosh_energy",
     "check_exp_energy",
     "check_gradient_bound",

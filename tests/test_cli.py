@@ -115,6 +115,8 @@ class TestVerify:
             ("verifier", {"c_delta": -1.0}),
             ("formbound", {"max_iter": "many"}),
             ("initial", {"terms": [[0.5]]}),  # a term without its wavevector
+            ("solver", {"dt": 1.0e-3, "t_final": 0.0205}),  # not a whole number of steps
+            ("verifier", {"delta": 2.0, "lp_p": 3}),  # below 2/(2 - sqrt(2)) = 3.41
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):
@@ -124,6 +126,14 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert not out.exists()
         assert f"config error: {section}" in capsys.readouterr().err
+
+    def test_null_for_a_concrete_default_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, experiment={"seed": None})
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert not out.exists()
+        assert "config error: experiment.seed must not be null" in capsys.readouterr().err
 
     def test_cfl_violation_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"

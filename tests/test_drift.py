@@ -17,6 +17,7 @@ from driftbound import (
     mollify_drift,
     verify_form_bound,
     write_field,
+    zeroth_order_constant,
 )
 from driftbound.grid import irfftn, rfftn
 from conftest import random_band_limited, random_trials
@@ -118,19 +119,19 @@ class TestMollifyDrift:
             mollify_drift(VectorField.zeros(grid2d), -1e-4)
 
 
+def dense_dirichlet(grid):
+    """The discrete Dirichlet form L as a dense symmetric matrix."""
+    sym = grid.dirichlet_symbol
+    L = np.empty((grid.size, grid.size))
+    eye = np.eye(grid.size)
+    for j in range(grid.size):
+        L[:, j] = irfftn(rfftn(eye[j].reshape(grid.shape)) * sym, grid.shape).ravel()
+    return 0.5 * (L + L.T)
+
+
 def dense_top_eigenvalue(grid, b_sq_flat, c):
     """Dense oracle for the mean-zero generalized eigenproblem (M - c, L)."""
-    n_dof = grid.size
-    sym = grid.dirichlet_symbol
-
-    def apply_dirichlet(v):
-        return irfftn(rfftn(v.reshape(grid.shape)) * sym, grid.shape).ravel()
-
-    L = np.empty((n_dof, n_dof))
-    eye = np.eye(n_dof)
-    for j in range(n_dof):
-        L[:, j] = apply_dirichlet(eye[j])
-    L = 0.5 * (L + L.T)
+    L = dense_dirichlet(grid)
     M = np.diag(b_sq_flat - c)
     w, V = np.linalg.eigh(L)
     keep = w > 1e-8
@@ -178,6 +179,14 @@ class TestFormBoundEstimate:
         cert = form_bound_estimate(b, [c], rq_tol=1e-13, max_iter=20000)[0]
         assert cert.delta_hat == pytest.approx(oracle, rel=1e-8)
 
+    def test_stops_honestly_at_the_iteration_budget(self):
+        grid = TorusGrid(3, 8)
+        b = hardy(grid, cutoff_radius=0.35, core_radius=0.1)
+        cert = form_bound_estimate(b, [2.0 * mean_sq(b)], max_iter=1, rq_tol=1e-10)[0]
+        assert cert.feasible and not cert.converged
+        assert cert.iterations == 1
+        assert cert.residual > 1e-10
+
     def test_witness_nearly_attains_the_bound(self):
         grid = TorusGrid(3, 32)
         b = hardy(grid)
@@ -223,6 +232,34 @@ class TestFormBoundEstimate:
             grad = gradient(ScalarField(grid, values))
             den = grid.cell_volume * float(grad.magnitude_squared().sum())
             assert num / den <= cert.delta_hat + max(cert.residual, 1e-9)
+
+
+class TestZerothOrderConstant:
+    @pytest.mark.parametrize("case", ["hardy-3d-n8", "band-limited-2d-n16"])
+    def test_matches_dense_top_eigenvalue(self, case):
+        if case == "hardy-3d-n8":
+            grid, delta = TorusGrid(3, 8), 4.0
+            b = hardy(grid, cutoff_radius=0.35, core_radius=0.1)
+        else:
+            grid, delta = TorusGrid(2, 16), 1.0
+            rng = np.random.default_rng(8)
+            b = VectorField(
+                grid,
+                tuple(random_band_limited(grid, rng, kmax=4, amplitude=3.0) for _ in range(2)),
+            )
+        dense = np.diag(b.magnitude_squared().ravel()) - delta * dense_dirichlet(grid)
+        values = np.linalg.eigh(dense)[0]
+        # the top eigenvalue is simple, so the test tells it from the others
+        assert values[-1] - values[-2] > 1e-6 * abs(values[-1])
+        assert zeroth_order_constant(b, delta) == pytest.approx(values[-1], rel=1e-8)
+
+    def test_zero_drift(self, grid2d):
+        assert zeroth_order_constant(VectorField.zeros(grid2d), 4.0) == 0.0
+
+    def test_unreachable_tolerance_raises(self):
+        b = hardy(TorusGrid(3, 8), cutoff_radius=0.35, core_radius=0.1)
+        with pytest.raises(RuntimeError, match="eigen-solve"):
+            zeroth_order_constant(b, 4.0, tol=1e-30)
 
 
 class TestVerifyFormBound:
