@@ -4,11 +4,13 @@ One YAML config file describes an experiment; subcommands run slices of it:
 
     init       write a documented config template
     norm       Orlicz/L^p norms of the initial datum
-    formbound  drift construction and the (delta_hat, c) certificate sweep
+    formbound  drift construction and the (delta_hat, c) certificate sweep;
+               exit 0 iff every certificate is feasible and converged
     mollify    heat-mollified drift family and its L2 convergence table
     solve      time integration with the finest mollified drift
     verify     full pipeline: drift -> certificate -> mollify -> solve ->
-               all selected inequality checks; exit 0 iff everything passes
+               all selected inequality checks; exit 0 iff every certificate
+               and every check passes
     sde        hitting-probability sweep of the radial SDE probe
     all        verify + sde
 
@@ -498,7 +500,15 @@ def pipeline_formbound(exp, b):
         "certificates": [c.to_json() for c in certs],
     }
     exp.emit_json("certificates.json", payload)
-    return all(c.feasible for c in certs)
+    unconverged = sum(1 for c in certs if c.feasible and not c.converged)
+    if unconverged:
+        print(
+            f"formbound: {unconverged} of {len(certs)} certificates did not reach "
+            f"rq_tol={exp.formbound['rq_tol']:g} within max_iter={exp.formbound['max_iter']}",
+            file=sys.stderr,
+        )
+    # a certificate counts only when its budget is feasible and its pair converged
+    return all(c.feasible and c.converged for c in certs)
 
 
 def pipeline_mollify(exp):
@@ -564,15 +574,19 @@ def pipeline_verify(exp):
             "and mollification.schedule_b"
         )
 
-    pipeline_formbound(exp, b)
+    certified = pipeline_formbound(exp, b)
     delta, c_delta = exp.certificate_parameters(b)
     shift = exp.resolve_shift(delta, c_delta)
     config = exp.solver_config(shift)
     # schedule B is solved only for the Cauchy check; every member of A and B
-    # is solved exactly once
+    # is solved exactly once.  Only the finest member feeds diagnostics.csv and
+    # the per-step checks; the others need just dirichlet_v and the snapshots.
     members_b = exp.schedule_b if run_cauchy else []
     drifts = [mollify_drift(b, eps) for eps in members + members_b]
-    solved = [solve(b_eps, f, config) for b_eps in drifts]
+    finest_index = len(members) - 1
+    solved = [
+        solve(b_eps, f, config, diagnostics=i == finest_index) for i, b_eps in enumerate(drifts)
+    ]
     for traj, eps in zip(solved, members + members_b):
         if traj.aborted:
             raise RuntimeError(f"solve aborted for eps={eps}: {traj.abort_message}")
@@ -610,7 +624,7 @@ def pipeline_verify(exp):
 
     exp.emit_json("reports.json", {"reports": [r.to_json() for r in reports]})
     exp.emit_text("reports.txt", render_reports(reports) + "\n")
-    return all(r.passed for r in reports)
+    return certified and all(r.passed for r in reports)
 
 
 def pipeline_sde(exp):

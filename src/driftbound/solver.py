@@ -7,13 +7,16 @@ explicit rule (Heun by default).  Replacing v by u = exp(shift t) v recovers
 the unshifted solution; the discrete scheme commutes exactly with that
 substitution, so one shifted solve carries both solution streams.
 
-Every step records the diagnostics the inequality checks consume:
-norms and the cosh modular of both u and v, the Dirichlet integral, and for
-each even power p the exponential-weight integrands <exp(u^p)>,
-<(grad u^(p/2))^2 exp(u^p)> and <(grad exp(u^p/2))^2>.  Dense per-step
-sampling keeps the trapezoid time integrals of those terms accurate; full
-fields are stored only every snapshot_stride steps (plus the final time).
-The Orlicz norm of u is needed only at the snapshots and is computed there.
+Every step records the Dirichlet integral of v, from the spectrum by
+Parseval.  A full solve (the default) also records, every step, the
+diagnostics the other inequality checks consume: norms and the cosh modular
+of both u and v, and for each even power p the exponential-weight integrands
+<exp(u^p)>, <(grad u^(p/2))^2 exp(u^p)> and <(grad exp(u^p/2))^2>.  Dense
+per-step sampling keeps the trapezoid time integrals of those terms
+accurate.  A light solve (diagnostics=False) skips them and forms the
+physical field only at the snapshots.  Full fields are stored only every
+snapshot_stride steps (plus the final time).  The Orlicz norm of u is needed
+only at the snapshots and is computed there.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ class Trajectory:
 
     snapshots hold the solved variable v; the unshifted solution at snapshot
     i is exp(shift * t_i) * v_i.  diag maps column names to per-step arrays;
-    u-based columns carry the ``_u`` suffix, v-based the ``_v`` suffix.
+    u-based columns carry the ``_u`` suffix, v-based the ``_v`` suffix.  A
+    light solve's diag holds dirichlet_v only.
     """
 
     grid: TorusGrid
@@ -132,7 +136,14 @@ class Trajectory:
         """Stream per-step diagnostics of the unshifted solution u.
 
         The orlicz column holds the snapshot norms and nan on other rows.
+        Raises ValueError for a light trajectory, which lacks the columns.
         """
+        missing = [name for name in _diagnostic_columns(self.p_list) if name not in self.diag]
+        if missing:
+            raise ValueError(
+                f"to_csv needs the full per-step diagnostics; this trajectory lacks "
+                f"{missing} (solve it with diagnostics=True)"
+            )
         orlicz = np.full_like(self.times, np.nan)
         orlicz[self.snapshot_indices] = self.snapshot_orlicz
         columns = ["t", "sup", "l2", "l4", "orlicz", "modular", "dirichlet"]
@@ -164,12 +175,17 @@ def _diagnostic_columns(p_list):
     return cols
 
 
-def solve(b_smooth, f, config):
+def solve(b_smooth, f, config, diagnostics=True):
     """Integrate the shifted equation from datum f under drift b_smooth.
 
     The drift should be mollified/band-limited; its spectrum is dealiased
     with the two-thirds mask before use.  Raises on CFL violation; a NaN
     mid-run aborts with the last valid state and sets Trajectory.aborted.
+
+    With diagnostics=False the solve is light: it records only dirichlet_v
+    and the snapshots, which is all the gradient-bound and Cauchy checks
+    read, and forms the physical field only at snapshot steps.  The
+    trajectory, snapshots and dirichlet_v are the same as a full solve's.
     """
     grid = f.grid
     if b_smooth.grid != grid:
@@ -191,9 +207,13 @@ def solve(b_smooth, f, config):
 
     factor = np.exp(config.dt * (grid.laplace_symbol - config.shift))
     grad_syms = tuple(g * mask for g in grid.gradient_symbols)
-    # all gradient symbols stacked on a leading axis, so that the per-step
-    # diagnostics get every gradient component from one batched inverse FFT
-    grad_stack = np.stack(np.broadcast_arrays(*grid.gradient_symbols))
+    # Parseval on the halved rfft axis: an interior mode stands for itself and
+    # its conjugate, the modes at index 0 and at the Nyquist index for one.
+    # The root of the weight multiplies the spectrum, so that an overflowing
+    # mode reads inf rather than 0 * inf = nan on a zero-weight mode.
+    parseval = np.full(grid.spectral_shape[-1], 2.0)
+    parseval[0] = parseval[-1] = 1.0
+    dirichlet_root = np.sqrt(grid.dirichlet_symbol * parseval) / grid.size
     advect = b_max > 0
 
     def advection(spectrum):
@@ -203,23 +223,29 @@ def solve(b_smooth, f, config):
         return rfftn(out) * mask
 
     times = config.dt * np.arange(n_steps + 1)
-    columns = _diagnostic_columns(config.p_list)
+    columns = _diagnostic_columns(config.p_list) if diagnostics else ["dirichlet_v"]
     diag = {name: np.zeros(n_steps + 1) for name in columns}
     snapshot_indices = []
     snapshots = []
 
     spectrum = rfftn(f.values)
-    v_phys = f.values.copy()
+    v_phys = f.values
     aborted = False
     abort_message = ""
     last_step = n_steps
 
     for k in range(n_steps + 1):
-        t = times[k]
-        _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys, grad_stack)
-        if k % config.snapshot_stride == 0 or k == n_steps:
+        snapshot = k % config.snapshot_stride == 0 or k == n_steps
+        if k > 0 and (diagnostics or snapshot):
+            v_phys = irfftn(spectrum, grid.shape)
+        with np.errstate(over="ignore"):
+            weighted = dirichlet_root * spectrum
+            diag["dirichlet_v"][k] = (weighted.real**2 + weighted.imag**2).sum()
+        if diagnostics:
+            _record_diagnostics(grid, config, diag, k, times[k], spectrum, v_phys)
+        if snapshot:
             snapshot_indices.append(k)
-            snapshots.append(f.copy() if k == 0 else ScalarField(grid, v_phys.copy()))
+            snapshots.append(f.copy() if k == 0 else ScalarField(grid, v_phys))
         if k == n_steps:
             break
         with np.errstate(over="ignore", invalid="ignore"):
@@ -238,7 +264,6 @@ def solve(b_smooth, f, config):
             abort_message = f"non-finite state after step {k + 1} (t={times[k + 1]:.6g})"
             last_step = k
             break
-        v_phys = irfftn(spectrum, grid.shape)
 
     if aborted:
         keep = last_step + 1
@@ -271,7 +296,8 @@ def _even_powers(x, top):
     return powers
 
 
-def _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys, grad_stack):
+def _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys):
+    """Every column but dirichlet_v, which solve() takes from the spectrum."""
     h_d = grid.cell_volume
     top = max(config.p_list)
     diag["sup_v"][k] = np.abs(v_phys).max()
@@ -280,9 +306,11 @@ def _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys, grad_stack):
         for p in config.p_list:
             diag[f"l{p}_v"][k] = (h_d * v_pow[p].sum()) ** (1.0 / p)
 
-        grads = irfftn(spectrum * grad_stack, grid.shape)
-        grad_sq = (grads * grads).sum(axis=0)
-        diag["dirichlet_v"][k] = h_d * grad_sq.sum()
+        # one inverse FFT per axis: faster than one batched call at 32^3 and 64^3
+        grad_sq = np.zeros(grid.shape)
+        for g in grid.gradient_symbols:
+            component = irfftn(spectrum * g, grid.shape)
+            grad_sq += component * component
 
         diag["modular_v"][k] = h_d * (np.cosh(v_phys) - 1.0).sum()
         if config.shift:

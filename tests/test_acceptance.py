@@ -74,7 +74,11 @@ def hardy64():
 
 @pytest.fixture(scope="session")
 def hardy32_family():
-    """Schedule of mollified-Hardy runs at n = 32 shared by criteria 8 and 9."""
+    """Schedule of mollified-Hardy runs at n = 32 shared by criteria 8 and 9.
+
+    Those criteria read only the snapshots and dirichlet_v, so the solves
+    are light.
+    """
     grid = TorusGrid(3, 32)
     b = build_drift(DriftSpec(kind="hardy", delta=4.0, sign=-1), grid)
     c4 = zeroth_order_constant(b, 4.0)
@@ -84,7 +88,7 @@ def hardy32_family():
     config = SolverConfig(dt=5e-4, t_final=0.05, shift=rate, snapshot_stride=20)
     t0 = time.time()
     drifts = [mollify_drift(b, eps) for eps in schedule]
-    trajs = [solve(b_eps, f, config) for b_eps in drifts]
+    trajs = [solve(b_eps, f, config, diagnostics=False) for b_eps in drifts]
     solve_s = time.time() - t0
     return {
         "grid": grid,
@@ -310,7 +314,10 @@ def test_criterion_08_cauchy_convergence(hardy32_family):
     budget, t0 = 300.0, time.time()
     fam = hardy32_family
     schedule_b = [5e-3 * 4.0**-k for k in range(4)]
-    trajs_b = [solve(mollify_drift(fam["b"], eps), fam["f"], fam["config"]) for eps in schedule_b]
+    trajs_b = [
+        solve(mollify_drift(fam["b"], eps), fam["f"], fam["config"], diagnostics=False)
+        for eps in schedule_b
+    ]
     rep = check_cauchy_convergence(fam["trajs"], trajs_b, tol_rel=SINGULAR_TOL)
     ratios = [r for r in rep.notes["decay_ratios"] if math.isfinite(r)]
     # the budget covers the schedule-A solves shared with criterion 9 too

@@ -4,7 +4,9 @@ import json
 import pytest
 import yaml
 
+from driftbound import cli
 from driftbound.cli import DEFAULTS, REQUIRED, load_config, main
+from driftbound.solver import solve
 
 
 def write_config(path, output_dir, **overrides):
@@ -88,6 +90,38 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 0
         text = (out / "reports.txt").read_text()
         assert "aggregate                PASS" in text
+
+    def test_only_the_finest_member_is_solved_in_full(self, tmp_path, monkeypatch):
+        # the finest schedule-A member feeds diagnostics.csv and the per-step
+        # checks; every other member is read only for dirichlet_v and snapshots
+        calls = []
+
+        def recording(b, f, config, diagnostics=True):
+            calls.append(diagnostics)
+            return solve(b, f, config, diagnostics=diagnostics)
+
+        monkeypatch.setattr(cli, "solve", recording)
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out)
+        assert main(["verify", "--config", str(cfg)]) == 0
+        # schedule A, then schedule B (half of each A member)
+        assert calls == [False, True, False, False]
+
+    @pytest.mark.parametrize("subcommand", ["formbound", "verify"])
+    def test_unconverged_certificates_fail(self, tmp_path, capsys, subcommand):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, formbound={"max_iter": 2})
+        assert main([subcommand, "--config", str(cfg)]) == 1
+        certs = json.loads((out / "certificates.json").read_text())["certificates"]
+        assert certs and all(row["feasible"] and not row["converged"] for row in certs)
+        assert json.loads((out / "manifest.json").read_text())["passed"] is False
+        assert "did not reach rq_tol" in capsys.readouterr().err
+        if subcommand == "verify":
+            # the checks themselves pass; the certificates alone fail the run
+            reports = json.loads((out / "reports.json").read_text())["reports"]
+            assert reports and all(r["passed"] for r in reports)
 
     def test_malformed_schedule_exits_nonzero_without_artifacts(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

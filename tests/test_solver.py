@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -207,6 +208,94 @@ class TestInvariants:
                 assert sorted(want) == sorted(traj.diag)
                 for name, value in want.items():
                     assert traj.diag[name][k] == pytest.approx(value, rel=1e-10), (shift, k, name)
+
+
+def hardy16_light_case():
+    grid, b_eps = mollified_hardy16()
+    f = ScalarField.from_function(
+        grid, lambda x, y, z: 0.75 * np.cos(2 * np.pi * np.broadcast_to(x, grid.shape))
+    )
+    return b_eps, f, SolverConfig(dt=1e-3, t_final=0.02, shift=2.0, snapshot_stride=5)
+
+
+def euler1d_light_case():
+    grid = TorusGrid(1, 64)
+    cfg = SolverConfig(dt=1e-3, t_final=0.02, scheme="if_euler", snapshot_stride=6)
+    return constant_drift(grid), sin_mode(grid), cfg
+
+
+def aborting1d_light_case():
+    # the unstable setting of test_nan_aborts_with_partial_trajectory
+    grid = TorusGrid(1, 64)
+    cfg = SolverConfig(dt=0.01, t_final=20.0, cfl_safety=1e6, snapshot_stride=10)
+    return constant_drift(grid, 50.0), sin_mode(grid), cfg
+
+
+class TestLightSolve:
+    @pytest.mark.parametrize(
+        "case", [hardy16_light_case, euler1d_light_case, aborting1d_light_case]
+    )
+    def test_light_solve_is_the_same_solve(self, case):
+        b, f, cfg = case()
+        full = solve(b, f, cfg)
+        light = solve(b, f, cfg, diagnostics=False)
+        assert list(light.diag) == ["dirichlet_v"]
+        assert np.array_equal(light.diag["dirichlet_v"], full.diag["dirichlet_v"])
+        assert np.array_equal(light.times, full.times)
+        assert light.snapshot_indices == full.snapshot_indices
+        assert len(light.snapshots) == len(full.snapshots)
+        for mine, theirs in zip(light.snapshots, full.snapshots):
+            assert np.array_equal(mine.values, theirs.values)
+        assert light.aborted == full.aborted
+        assert light.abort_message == full.abort_message
+
+    def test_csv_of_a_light_trajectory_names_the_missing_columns(self, tmp_path, grid1d):
+        cfg = SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=5)
+        light = solve(constant_drift(grid1d), sin_mode(grid1d), cfg, diagnostics=False)
+        with pytest.raises(ValueError, match=r"lacks \['sup_v', 'modular_v', 'modular_u', 'l2_v'"):
+            light.to_csv(tmp_path / "diag.csv")
+        assert not (tmp_path / "diag.csv").exists()
+
+    def test_transform_counts_per_step(self, monkeypatch):
+        # guards the work a step costs: if_rk2 advects twice (dim inverse and
+        # one forward transform each); a full step adds the physical field
+        # and one gradient component per axis, a light step forms the field
+        # only at the snapshots
+        grid = TorusGrid(3, 8)
+        counts = Counter()
+
+        def counting(name, transform):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return transform(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(solver_module, "irfftn", counting("inverse", solver_module.irfftn))
+        monkeypatch.setattr(solver_module, "rfftn", counting("forward", solver_module.rfftn))
+        # 10 steps; snapshots at steps 0, 4, 8 and 10
+        cfg = SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=4)
+        f = ScalarField.from_function(
+            grid, lambda x, y, z: 0.5 * np.cos(2 * np.pi * np.broadcast_to(x, grid.shape))
+        )
+        b = constant_drift(grid, 0.5)
+        n_steps, later_snapshots = 10, 3
+        # set-up: one dealiasing round trip per drift component, and the datum
+        setup_inverse, setup_forward = 3, 4
+
+        counts.clear()
+        solve(b, f, cfg, diagnostics=False)
+        assert counts == {
+            "inverse": setup_inverse + 6 * n_steps + later_snapshots,
+            "forward": setup_forward + 2 * n_steps,
+        }
+        counts.clear()
+        solve(b, f, cfg)
+        # the gradient components are formed at step 0 too
+        assert counts == {
+            "inverse": setup_inverse + (6 + 4) * n_steps + 3,
+            "forward": setup_forward + 2 * n_steps,
+        }
 
 
 class TestErrors:
