@@ -202,13 +202,16 @@ def _section(data, name):
 
 @contextmanager
 def _checking(name):
-    """Report a ValueError or TypeError raised while reading section ``name`` as a ConfigError."""
+    """Report a ValueError, TypeError or OSError raised while reading section ``name``
+    as a ConfigError."""
     try:
         yield
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{name}: cannot read {exc.filename}: {exc.strerror or exc}") from exc
 
 
 def _schedule(cfg, key):

@@ -8,6 +8,7 @@ zeroes the Nyquist mode so that real input yields real output.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,8 +43,7 @@ def rfftn(values):
 
 
 def irfftn(spectrum, shape):
-    size = int(np.prod(shape))
-    return scipy.fft.irfftn(spectrum, s=shape, workers=_workers(size))
+    return scipy.fft.irfftn(spectrum, s=shape, workers=_workers(math.prod(shape)))
 
 
 @dataclass(frozen=True)

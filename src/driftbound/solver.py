@@ -17,6 +17,14 @@ accurate.  A light solve (diagnostics=False) skips them and forms the
 physical field only at the snapshots.  Full fields are stored only every
 snapshot_stride steps (plus the final time).  The Orlicz norm of u is needed
 only at the snapshots and is computed there.
+
+A step allocates no elementwise temporaries: the advection sum, the
+RK2/Euler update, the Parseval sum and the diagnostics write with in-place
+ufuncs into per-solve work buffers or into the state.  They run the same
+floating-point operations in the same order as the plain expressions given
+in the comments, so every trajectory is bitwise what those expressions give
+(tests/test_solver.py keeps them as its oracle).  Only the FFTs return new
+arrays.  No buffer is ever a snapshot's values or a result.
 """
 
 from __future__ import annotations
@@ -186,6 +194,13 @@ def solve(b_smooth, f, config, diagnostics=True):
     and the snapshots, which is all the gradient-bound and Cauchy checks
     read, and forms the physical field only at snapshot steps.  The
     trajectory, snapshots and dirichlet_v are the same as a full solve's.
+
+    Work buffers: one real array of the grid's shape, one complex array of
+    the spectral shape, a second complex array for the RK2 predictor, and
+    2 + max(p_list)/2 real arrays for a full solve's diagnostics.  They are
+    allocated once per solve and overwritten every step; the state spectrum
+    is updated in place.  A change to the step must keep its operations and
+    their order, or the bitwise oracle test fails.
     """
     grid = f.grid
     if b_smooth.grid != grid:
@@ -216,11 +231,30 @@ def solve(b_smooth, f, config, diagnostics=True):
     dirichlet_root = np.sqrt(grid.dirichlet_symbol * parseval) / grid.size
     advect = b_max > 0
 
-    def advection(spectrum):
-        out = np.zeros(grid.shape)
+    # `work` holds the advection sum and |grad v|^2, and `squares`, its
+    # leading entries in the spectral shape, the Dirichlet sum's terms;
+    # `spectral_work` holds each symbol product
+    work = np.empty(grid.shape)
+    spectral_work = np.empty(grid.spectral_shape, dtype=complex)
+    squares = work.reshape(-1)[: spectral_work.size].reshape(grid.spectral_shape)
+    predictor = np.empty_like(spectral_work)
+    # a full solve's diagnostics: a scratch array, the exp weight, and x^2 .. x^top
+    diag_buffers = (
+        [np.empty(grid.shape) for _ in range(2 + max(config.p_list) // 2)] if diagnostics else None
+    )
+
+    def advection(source):
+        """Dealiased spectrum of b . grad v for the spectrum `source`: a new array.
+
+        Plain form: rfftn(zeros + sum over a of b_a * irfftn(source * g_a)) * mask.
+        """
+        work.fill(0.0)
         for b_a, g_a in zip(b_parts, grad_syms):
-            out += b_a * irfftn(spectrum * g_a, grid.shape)
-        return rfftn(out) * mask
+            component = irfftn(np.multiply(source, g_a, out=spectral_work), grid.shape)
+            np.add(work, np.multiply(b_a, component, out=component), out=work)
+        out = rfftn(work)
+        out *= mask
+        return out
 
     times = config.dt * np.arange(n_steps + 1)
     columns = _diagnostic_columns(config.p_list) if diagnostics else ["dirichlet_v"]
@@ -238,27 +272,46 @@ def solve(b_smooth, f, config, diagnostics=True):
         snapshot = k % config.snapshot_stride == 0 or k == n_steps
         if k > 0 and (diagnostics or snapshot):
             v_phys = irfftn(spectrum, grid.shape)
+        # dirichlet_v = sum(weighted.real**2 + weighted.imag**2),
+        # weighted = dirichlet_root * spectrum
         with np.errstate(over="ignore"):
-            weighted = dirichlet_root * spectrum
-            diag["dirichlet_v"][k] = (weighted.real**2 + weighted.imag**2).sum()
+            weighted = np.multiply(dirichlet_root, spectrum, out=spectral_work)
+            np.square(weighted.real, out=squares)
+            squares += np.square(weighted.imag, out=weighted.imag)
+            diag["dirichlet_v"][k] = squares.sum()
         if diagnostics:
-            _record_diagnostics(grid, config, diag, k, times[k], spectrum, v_phys)
+            _record_diagnostics(
+                grid, config, diag, k, times[k], spectrum, v_phys, spectral_work, work, diag_buffers
+            )
         if snapshot:
             snapshot_indices.append(k)
             snapshots.append(f.copy() if k == 0 else ScalarField(grid, v_phys))
         if k == n_steps:
             break
+        # spectrum is a solve-owned array (the datum's transform, then updated
+        # only here), so the step overwrites it in place
         with np.errstate(over="ignore", invalid="ignore"):
-            if advect:
-                if config.scheme == "if_euler":
-                    spectrum = factor * (spectrum - config.dt * advection(spectrum))
-                else:
-                    n1 = advection(spectrum)
-                    predictor = factor * (spectrum - config.dt * n1)
-                    n2 = advection(predictor)
-                    spectrum = factor * spectrum - 0.5 * config.dt * (factor * n1 + n2)
+            if not advect:
+                np.multiply(factor, spectrum, out=spectrum)
+            elif config.scheme == "if_euler":
+                # spectrum = factor * (spectrum - dt * n1)
+                n1 = advection(spectrum)
+                np.multiply(config.dt, n1, out=n1)
+                spectrum -= n1
+                np.multiply(factor, spectrum, out=spectrum)
             else:
-                spectrum = factor * spectrum
+                # predictor = factor * (spectrum - dt * n1)
+                # spectrum = factor * spectrum - 0.5 * dt * (factor * n1 + n2)
+                n1 = advection(spectrum)
+                np.multiply(config.dt, n1, out=predictor)
+                np.subtract(spectrum, predictor, out=predictor)
+                np.multiply(factor, predictor, out=predictor)
+                n2 = advection(predictor)
+                np.multiply(factor, n1, out=n1)
+                n1 += n2
+                np.multiply(0.5 * config.dt, n1, out=n1)
+                np.multiply(factor, spectrum, out=spectrum)
+                spectrum -= n1
         if not np.all(np.isfinite(spectrum.view(float))):
             aborted = True
             abort_message = f"non-finite state after step {k + 1} (t={times[k + 1]:.6g})"
@@ -283,53 +336,64 @@ def solve(b_smooth, f, config, diagnostics=True):
     )
 
 
-def _even_powers(x, top):
-    """{p: x**p} for the even p in 2..top, one multiplication per power.
+def _even_powers(x, top, buffers):
+    """{p: x**p} for the even p in 2..top, one multiplication per power, in buffers.
 
     numpy fast-paths only the exponent 2 of ``**``; higher exponents go
     through a generic per-element pow that costs several multiplications.
     """
-    square = x * x
+    square = np.multiply(x, x, out=buffers[0])
     powers = {2: square}
-    for p in range(4, top + 1, 2):
-        powers[p] = powers[p - 2] * square
+    for p, out in zip(range(4, top + 1, 2), buffers[1:]):
+        powers[p] = np.multiply(powers[p - 2], square, out=out)
     return powers
 
 
-def _record_diagnostics(grid, config, diag, k, t, spectrum, v_phys):
-    """Every column but dirichlet_v, which solve() takes from the spectrum."""
+def _record_diagnostics(
+    grid, config, diag, k, t, spectrum, v_phys, spectral_work, grad_sq, buffers
+):
+    """Every column but dirichlet_v, which solve() takes from the spectrum.
+
+    Writes only into spectral_work, grad_sq and buffers (see solve()).
+    """
     h_d = grid.cell_volume
     top = max(config.p_list)
-    diag["sup_v"][k] = np.abs(v_phys).max()
+    scratch, weight, *power_buffers = buffers
+    diag["sup_v"][k] = np.abs(v_phys, out=scratch).max()
     with np.errstate(over="ignore", invalid="ignore"):
-        v_pow = _even_powers(v_phys, top)
+        powers = _even_powers(v_phys, top, power_buffers)
         for p in config.p_list:
-            diag[f"l{p}_v"][k] = (h_d * v_pow[p].sum()) ** (1.0 / p)
+            diag[f"l{p}_v"][k] = (h_d * powers[p].sum()) ** (1.0 / p)
 
         # one inverse FFT per axis: faster than one batched call at 32^3 and 64^3
-        grad_sq = np.zeros(grid.shape)
+        grad_sq.fill(0.0)
         for g in grid.gradient_symbols:
-            component = irfftn(spectrum * g, grid.shape)
-            grad_sq += component * component
+            component = irfftn(np.multiply(spectrum, g, out=spectral_work), grid.shape)
+            grad_sq += np.multiply(component, component, out=component)
 
-        diag["modular_v"][k] = h_d * (np.cosh(v_phys) - 1.0).sum()
+        np.cosh(v_phys, out=scratch)
+        scratch -= 1.0
+        diag["modular_v"][k] = h_d * scratch.sum()
         if config.shift:
+            # from here on the powers and grad_sq are those of u = scale * v;
+            # weight holds u until the exp loop needs it
             scale = math.exp(config.shift * t)
-            u = scale * v_phys
-            u_pow = _even_powers(u, top)
-            u_grad_sq = scale * scale * grad_sq
-            diag["modular_u"][k] = h_d * (np.cosh(u) - 1.0).sum()
+            u = np.multiply(scale, v_phys, out=weight)
+            powers = _even_powers(u, top, power_buffers)
+            np.multiply(scale * scale, grad_sq, out=grad_sq)
+            np.cosh(u, out=scratch)
+            scratch -= 1.0
+            diag["modular_u"][k] = h_d * scratch.sum()
         else:
-            u_pow, u_grad_sq = v_pow, grad_sq
             diag["modular_u"][k] = diag["modular_v"][k]
         for p in config.p_list:
-            exp_u = np.exp(u_pow[p])
+            exp_u = np.exp(powers[p], out=weight)
             diag[f"exp_modular_p{p}_u"][k] = h_d * exp_u.sum()
             coeff = h_d * p * p / 4.0
             # (grad u^(p/2))^2 exp(u^p) = (p/2)^2 u^(p-2) |grad u|^2 exp(u^p)
-            disp = u_grad_sq * exp_u
+            disp = np.multiply(grad_sq, exp_u, out=weight)
             if p > 2:
-                disp *= u_pow[p - 2]
+                disp *= powers[p - 2]
             diag[f"exp_disp_p{p}_u"][k] = coeff * disp.sum()
             # (grad exp(u^p/2))^2 = (p/2)^2 u^(2p-2) |grad u|^2 exp(u^p)
-            diag[f"exp_gradexp_p{p}_u"][k] = coeff * (u_pow[p] * disp).sum()
+            diag[f"exp_gradexp_p{p}_u"][k] = coeff * np.multiply(powers[p], disp, out=scratch).sum()

@@ -218,6 +218,7 @@ def test_criterion_04_solver_accuracy_and_max_principle():
     assert elapsed < budget
 
 
+@pytest.mark.slow
 def test_criterion_05_orlicz_quasi_contraction(hardy64):
     budget, t0 = 180.0, time.time()
     grid, b = hardy64["grid"], hardy64["b"]
@@ -357,6 +358,7 @@ def test_criterion_09_uniform_gradient_bound(hardy32_family):
     assert elapsed < budget
 
 
+@pytest.mark.slow
 def test_criterion_10_sde_probe():
     budget, t0 = 120.0, time.time()
     x0, r_hit, horizon = 0.45, 0.3, 0.02

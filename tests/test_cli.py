@@ -161,6 +161,20 @@ class TestVerify:
         assert not out.exists()
         assert f"config error: {section}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["drift", "initial"])
+    def test_missing_field_file_is_config_error(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        missing = tmp_path / "absent.bin"
+        data = zero_drift_config(cfg, out)
+        data[section].update(kind="file", path=str(missing))
+        cfg.write_text(yaml.safe_dump(data))
+        for subcommand in ("solve", "verify"):
+            assert main([subcommand, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {section}: cannot read {missing}: No such file" in err
+        assert not out.exists()
+
     def test_null_for_a_concrete_default_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"

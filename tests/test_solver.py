@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -296,6 +297,134 @@ class TestLightSolve:
             "inverse": setup_inverse + (6 + 4) * n_steps + 3,
             "forward": setup_forward + 2 * n_steps,
         }
+
+
+def textbook_solve(b_smooth, f, config):
+    """solve() written with a new array for every operation: the bitwise oracle.
+
+    solve() runs these floating-point operations in this order, in work
+    buffers, so its trajectories must equal these bit for bit.  Returns
+    (times, diag, snapshot_indices, snapshots, aborted, abort_message).
+    """
+    grid = f.grid
+    mask = grid.dealias_mask
+    b_parts = tuple(irfftn(rfftn(c.values) * mask, grid.shape) for c in b_smooth.components)
+    advect = math.sqrt(float(sum(b_a * b_a for b_a in b_parts).max())) > 0
+    factor = np.exp(config.dt * (grid.laplace_symbol - config.shift))
+    grad_syms = tuple(g * mask for g in grid.gradient_symbols)
+    parseval = np.full(grid.spectral_shape[-1], 2.0)
+    parseval[0] = parseval[-1] = 1.0
+    dirichlet_root = np.sqrt(grid.dirichlet_symbol * parseval) / grid.size
+    h_d = grid.cell_volume
+    top = max(config.p_list)
+
+    def advection(spectrum):
+        out = np.zeros(grid.shape)
+        for b_a, g_a in zip(b_parts, grad_syms):
+            out += b_a * irfftn(spectrum * g_a, grid.shape)
+        return rfftn(out) * mask
+
+    def even_powers(x):
+        powers = {2: x * x}
+        for p in range(4, top + 1, 2):
+            powers[p] = powers[p - 2] * powers[2]
+        return powers
+
+    def diagnostics(t, spectrum, v):
+        with np.errstate(over="ignore"):
+            weighted = dirichlet_root * spectrum
+            row = {"dirichlet_v": (weighted.real**2 + weighted.imag**2).sum()}
+        row["sup_v"] = np.abs(v).max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            v_pow = even_powers(v)
+            for p in config.p_list:
+                row[f"l{p}_v"] = (h_d * v_pow[p].sum()) ** (1.0 / p)
+            grad_sq = np.zeros(grid.shape)
+            for g in grid.gradient_symbols:
+                component = irfftn(spectrum * g, grid.shape)
+                grad_sq += component * component
+            row["modular_v"] = h_d * (np.cosh(v) - 1.0).sum()
+            if config.shift:
+                scale = math.exp(config.shift * t)
+                u = scale * v
+                u_pow = even_powers(u)
+                u_grad_sq = scale * scale * grad_sq
+                row["modular_u"] = h_d * (np.cosh(u) - 1.0).sum()
+            else:
+                u_pow, u_grad_sq = v_pow, grad_sq
+                row["modular_u"] = row["modular_v"]
+            for p in config.p_list:
+                exp_u = np.exp(u_pow[p])
+                row[f"exp_modular_p{p}_u"] = h_d * exp_u.sum()
+                coeff = h_d * p * p / 4.0
+                disp = u_grad_sq * exp_u
+                if p > 2:
+                    disp = disp * u_pow[p - 2]
+                row[f"exp_disp_p{p}_u"] = coeff * disp.sum()
+                row[f"exp_gradexp_p{p}_u"] = coeff * (u_pow[p] * disp).sum()
+        return row
+
+    dt, n_steps = config.dt, config.n_steps
+    times = dt * np.arange(n_steps + 1)
+    rows, snapshot_indices, snapshots = [], [], []
+    spectrum = rfftn(f.values)
+    for k in range(n_steps + 1):
+        v = f.values if k == 0 else irfftn(spectrum, grid.shape)
+        rows.append(diagnostics(times[k], spectrum, v))
+        if k % config.snapshot_stride == 0 or k == n_steps:
+            snapshot_indices.append(k)
+            snapshots.append(v)
+        if k == n_steps:
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not advect:
+                spectrum = factor * spectrum
+            elif config.scheme == "if_euler":
+                spectrum = factor * (spectrum - dt * advection(spectrum))
+            else:
+                n1 = advection(spectrum)
+                predictor = factor * (spectrum - dt * n1)
+                n2 = advection(predictor)
+                spectrum = factor * spectrum - 0.5 * dt * (factor * n1 + n2)
+        if not np.all(np.isfinite(spectrum.view(float))):
+            message = f"non-finite state after step {k + 1} (t={times[k + 1]:.6g})"
+            diag = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+            return times[: k + 1], diag, snapshot_indices, snapshots, True, message
+    diag = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return times, diag, snapshot_indices, snapshots, False, ""
+
+
+def hardy16_oracle_case(scheme, shift):
+    b_eps, f, _ = hardy16_light_case()
+    cfg = SolverConfig(
+        dt=1e-3, t_final=0.02, shift=shift, scheme=scheme, snapshot_stride=5, p_list=(2, 4, 6)
+    )
+    return b_eps, f, cfg
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(partial(hardy16_oracle_case, scheme, shift), id=f"hardy16-{scheme}-{shift}")
+        for scheme in ("if_rk2", "if_euler")
+        for shift in (0.0, 2.5)
+    ]
+    + [pytest.param(aborting1d_light_case, id="aborting1d")],
+)
+def test_solve_is_bitwise_the_textbook_step(case):
+    b, f, cfg = case()
+    times, diag, snapshot_indices, snapshots, aborted, abort_message = textbook_solve(b, f, cfg)
+    traj = solve(b, f, cfg)
+    assert (traj.aborted, traj.abort_message) == (aborted, abort_message)
+    assert np.array_equal(traj.times, times)
+    assert traj.snapshot_indices == snapshot_indices
+    assert len(traj.snapshots) == len(snapshots)
+    # bytes, not values: a flipped sign of zero or another NaN would show
+    for mine, theirs in zip(traj.snapshots, snapshots):
+        assert mine.values.tobytes() == theirs.tobytes()
+    assert sorted(traj.diag) == sorted(diag)
+    for name, column in diag.items():
+        assert traj.diag[name].tobytes() == column.tobytes(), name
 
 
 class TestErrors:
