@@ -15,15 +15,17 @@ One YAML config file describes an experiment; subcommands run slices of it:
     all        verify + sde
 
 Every config key and its default live in DEFAULTS, and a config error
-(exit 2) is raised before any file is written.  A run that completes writes
-a manifest.json listing each emitted file with its sha256 digest, the config
-digest, tool version and timestamps.  Report files themselves carry no
-timestamps, so identical configs and seeds produce byte-identical reports.
+(exit 2) is raised before any file is written.  Every other run, a runtime
+failure (exit 3) included, writes a manifest.json listing each emitted file
+with its sha256 digest, the config digest, tool version and timestamps.
+Report files themselves carry no timestamps, so identical configs and seeds
+produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -43,7 +45,7 @@ from .drift import (
     mollify_drift,
     zeroth_order_constant,
 )
-from .grid import ScalarField, TorusGrid, lp_norm, read_field, write_field
+from .grid import ScalarField, TorusGrid, lp_norm, read_field, trig_series, write_field
 from .orlicz import modular, orlicz_norm
 from .sde import SdeConfig, delta_sweep, sweep_configs
 from .solver import SolverConfig, solve
@@ -245,11 +247,12 @@ class Experiment:
     Building it reads every section through DEFAULTS, in template order, and
     checks what needs no computation: the tier, grid, drift spec, schedules,
     form-bound budgets, solver parameters (a whole number of steps included),
-    verifier ids and constants (an explicit lp_p against the threshold of a
-    delta known from the config), and the sde section when there is one.
-    The pipelines raise their remaining config errors (a drift or datum that
-    cannot be built, a Cauchy check without two schedule members) before they
-    write any file.
+    verifier ids and constants, and the sde section when there is one.  It
+    fixes the checks' delta and L^p exponent; check_parameters adds c_delta
+    and the shift once the drift is built.  The pipelines raise their
+    remaining config errors (a drift or datum that cannot be built, a Cauchy
+    check without two schedule members, cosh_energy with an explicit shift)
+    before they write any file.
     """
 
     def __init__(self, data, output_dir=None, seed=None, tier=None):
@@ -302,28 +305,46 @@ class Experiment:
         self.initial_cfg = _section(data, "initial")
 
         with _checking("solver"):
-            self.solver_cfg = _section(data, "solver")
-            shift = self.solver_cfg["shift"]
-            self.solver_config(0.0 if shift == "auto" else float(shift))
+            solver = _section(data, "solver")
+            # None for auto: check_parameters sets c_delta / sqrt(delta)
+            self.shift = None if solver["shift"] == "auto" else float(solver["shift"])
+            self.solver = SolverConfig(
+                dt=float(solver["dt"]),
+                t_final=float(solver["t_final"]),
+                shift=self.shift or 0.0,
+                snapshot_stride=int(solver["snapshot_stride"]),
+                scheme=solver["scheme"],
+                cfl_safety=float(solver["cfl_safety"]),
+                p_list=tuple(solver["p_list"]),
+            )
 
         with _checking("verifier"):
-            self.verifier_cfg = verifier = _section(data, "verifier")
-            unknown = [name for name in verifier["inequalities"] if name not in INEQUALITY_IDS]
+            verifier = _section(data, "verifier")
+            self.inequalities = verifier["inequalities"]
+            unknown = [name for name in self.inequalities if name not in INEQUALITY_IDS]
             if unknown:
                 raise ConfigError(f"verifier.inequalities contains unknown ids {unknown}")
-            if verifier["delta"] != "auto" and not float(verifier["delta"]) > 0:
-                raise ConfigError(f"verifier.delta must be > 0, got {verifier['delta']}")
-            if verifier["c_delta"] != "auto" and not float(verifier["c_delta"]) >= 0:
-                raise ConfigError(f"verifier.c_delta must be >= 0, got {verifier['c_delta']}")
-            # the checks' delta for every nonzero drift
+            # An explicit delta, c_delta or lp_p wins for every drift.  Auto
+            # delta is hardy's nominal value, else the critical budget 4; auto
+            # c_delta (None) is left to check_parameters.
             delta = verifier["delta"]
             if delta == "auto":
                 delta = self.drift_spec.delta if self.drift_spec.kind == "hardy" else 4.0
             self.delta = float(delta)
-            p = verifier["lp_p"]
-            if "lp_contraction" in verifier["inequalities"] and p != "auto" and self.delta < 4.0:
+            if not self.delta > 0:
+                raise ConfigError(f"verifier.delta must be > 0, got {verifier['delta']}")
+            c_delta = verifier["c_delta"]
+            self.c_delta = None if c_delta == "auto" else float(c_delta)
+            if self.c_delta is not None and not self.c_delta >= 0:
+                raise ConfigError(f"verifier.c_delta must be >= 0, got {c_delta}")
+            # None skips lp_contraction: its threshold 2/(2 - sqrt(delta)) needs
+            # delta < 4.  Auto p is the smallest even integer at or above it.
+            self.lp_p = None
+            if "lp_contraction" in self.inequalities and self.delta < 4.0:
                 threshold = lp_threshold(self.delta)
-                if float(p) < threshold - 1e-12:
+                p = verifier["lp_p"]
+                self.lp_p = max(2, 2 * math.ceil(threshold / 2)) if p == "auto" else float(p)
+                if self.lp_p < threshold - 1e-12:
                     raise ConfigError(
                         f"verifier.lp_p={p} is below the threshold 2/(2 - sqrt(delta)) = "
                         f"{threshold:.6g} for delta={self.delta}"
@@ -384,50 +405,22 @@ class Experiment:
         terms = cfg["terms"]
         if terms is None:
             terms = [[0.5, [1] + [0] * (self.grid.dim - 1)]]
-        values = np.zeros(self.grid.shape)
-        coords = self.grid.coordinates
-        for amplitude, wavevector in terms:
-            if len(wavevector) != self.grid.dim:
-                raise ConfigError(f"initial.terms wavevector {wavevector} has wrong length")
-            arg = sum(
-                2 * np.pi * k * np.broadcast_to(x, self.grid.shape)
-                for k, x in zip(wavevector, coords)
-            )
-            values += float(amplitude) * np.cos(arg)
-        return ScalarField(self.grid, values)
+        return trig_series(self.grid, terms)
 
-    def certificate_parameters(self, b):
-        """(delta, c_delta) used by the inequality checks.
+    def check_parameters(self, b):
+        """(delta, c_delta, SolverConfig) for the solves and checks on drift b.
 
-        Zero drifts take the vanishing-budget surrogate; otherwise delta is
-        the drift's nominal value (hardy) or the critical budget 4, and
-        c_delta the smallest constant valid for every grid field at that
-        delta.  Explicit verifier.delta / verifier.c_delta override.
+        delta comes from __init__.  An explicit verifier.c_delta wins;
+        otherwise c_delta is the smallest constant valid for every grid field
+        at delta, or the surrogate 1e-8 for a zero drift, where the c(delta)
+        preconditioner is singular.  An explicit solver.shift wins; otherwise
+        the shift is c_delta / sqrt(delta), which the paper's estimates assume.
         """
-        if b.max_magnitude() == 0.0:
-            return 4.0, 1e-8
-        c_delta = self.verifier_cfg["c_delta"]
-        if c_delta == "auto":
-            c_delta = zeroth_order_constant(b, self.delta)
-        return self.delta, float(c_delta)
-
-    def solver_config(self, shift):
-        cfg = self.solver_cfg
-        return SolverConfig(
-            dt=float(cfg["dt"]),
-            t_final=float(cfg["t_final"]),
-            shift=shift,
-            snapshot_stride=int(cfg["snapshot_stride"]),
-            scheme=cfg["scheme"],
-            cfl_safety=float(cfg["cfl_safety"]),
-            p_list=tuple(cfg["p_list"]),
-        )
-
-    def resolve_shift(self, delta, c_delta):
-        shift = self.solver_cfg["shift"]
-        if shift == "auto":
-            return c_delta / math.sqrt(delta)
-        return float(shift)
+        c_delta = self.c_delta
+        if c_delta is None:
+            c_delta = 1e-8 if b.max_magnitude() == 0.0 else zeroth_order_constant(b, self.delta)
+        shift = c_delta / math.sqrt(self.delta) if self.shift is None else self.shift
+        return self.delta, c_delta, dataclasses.replace(self.solver, shift=shift)
 
     # -- artifact bookkeeping --------------------------------------------
 
@@ -446,7 +439,8 @@ class Experiment:
         path.write_text(text)
         return path
 
-    def write_manifest(self, passed):
+    def write_manifest(self, passed, error=None):
+        self.ensure_outdir()
         files = {}
         for path in sorted(self.output_dir.rglob("*")):
             if path.is_file() and path.name != "manifest.json":
@@ -460,6 +454,7 @@ class Experiment:
             "started": self._t_started,
             "finished": time.time(),
             "passed": bool(passed),
+            "error": error,
             "artifacts": files,
         }
         path = self.output_dir / "manifest.json"
@@ -541,11 +536,8 @@ def pipeline_mollify(exp):
 
 def pipeline_solve(exp):
     b = exp.build_drift()
-    delta, c_delta = exp.certificate_parameters(b)
-    shift = exp.resolve_shift(delta, c_delta)
-    config = exp.solver_config(shift)
-    b_run = mollify_drift(b, exp.schedule[-1]) if b.max_magnitude() > 0 else b
-    traj = solve(b_run, exp.build_initial(), config)
+    _, _, config = exp.check_parameters(b)
+    traj = solve(mollify_drift(b, exp.schedule[-1]), exp.build_initial(), config)
     exp.ensure_outdir()
     traj.to_csv(exp.output_dir / "diagnostics.csv")
     for i, snap_idx in enumerate(traj.snapshot_indices):
@@ -555,7 +547,7 @@ def pipeline_solve(exp):
         {
             "aborted": traj.aborted,
             "abort_message": traj.abort_message,
-            "shift": shift,
+            "shift": config.shift,
             "eps": exp.schedule[-1],
             "snapshots": len(traj.snapshots),
             "final_time": float(traj.times[-1]),
@@ -565,7 +557,12 @@ def pipeline_solve(exp):
 
 
 def pipeline_verify(exp):
-    selected = exp.verifier_cfg["inequalities"]
+    selected = exp.inequalities
+    if "cosh_energy" in selected and exp.shift:
+        raise ConfigError(
+            f"cosh_energy needs the shift c_delta / sqrt(delta), but solver.shift is "
+            f"{exp.shift:g}; set solver.shift to auto or leave cosh_energy out"
+        )
     b = exp.build_drift()
     f = exp.build_initial()
     singular_drift = b.max_magnitude() > 0
@@ -577,10 +574,8 @@ def pipeline_verify(exp):
             "and mollification.schedule_b"
         )
 
+    delta, c_delta, config = exp.check_parameters(b)
     certified = pipeline_formbound(exp, b)
-    delta, c_delta = exp.certificate_parameters(b)
-    shift = exp.resolve_shift(delta, c_delta)
-    config = exp.solver_config(shift)
     # schedule B is solved only for the Cauchy check; every member of A and B
     # is solved exactly once.  Only the finest member feeds diagnostics.csv and
     # the per-step checks; the others need just dirichlet_v and the snapshots.
@@ -602,15 +597,9 @@ def pipeline_verify(exp):
     reports = []
     if "orlicz_contraction" in selected:
         reports.append(check_orlicz_contraction(finest, delta, c_delta, tol_rel=exp.tol_rel))
-    if "lp_contraction" in selected:
-        if delta < 4.0:
-            p = exp.verifier_cfg["lp_p"]
-            if p == "auto":
-                p = max(2, 2 * math.ceil(lp_threshold(delta) / 2))
-            reports.append(
-                check_lp_contraction(finest, int(p), delta, c_delta, tol_rel=exp.tol_rel)
-            )
-    if "cosh_energy" in selected and shift > 0:
+    if exp.lp_p is not None:
+        reports.append(check_lp_contraction(finest, exp.lp_p, delta, c_delta, tol_rel=exp.tol_rel))
+    if "cosh_energy" in selected and config.shift > 0:
         reports.append(check_cosh_energy(finest, delta, c_delta, tol_rel=exp.tol_rel))
     if "exp_energy" in selected:
         # the exponential-weight columns track the unshifted solution u, which
@@ -666,7 +655,9 @@ def run(subcommand, config_data, output_dir=None, seed=None, tier=None):
     0: every check passed; 1: a check failed; 2: config error, raised before
     any file is written; 3: a pipeline failed at run time (a CFL violation,
     an aborted solve, a check that cannot apply to the computed values).
+    Every status but 2 ends with manifest.json; on 3 it holds the error.
     """
+    exp = None
     try:
         exp = Experiment(config_data, output_dir=output_dir, seed=seed, tier=tier)
         names = ["verify", "sde"] if subcommand == "all" else [subcommand]
@@ -680,6 +671,8 @@ def run(subcommand, config_data, output_dir=None, seed=None, tier=None):
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        if exp is not None:
+            exp.write_manifest(False, error=f"runtime error: {exc}")
         return 3
     exp.write_manifest(ok)
     return 0 if ok else 1

@@ -35,6 +35,7 @@ from .grid import (
     irfftn,
     read_field,
     rfftn,
+    trig_series,
 )
 
 __all__ = [
@@ -118,17 +119,7 @@ def build_drift(spec, grid):
             raise ValueError(
                 f"trig drift lists {len(spec.components)} components for dim {grid.dim}"
             )
-        coords = grid.coordinates
-        comps = []
-        for terms in spec.components:
-            values = np.zeros(grid.shape)
-            for amplitude, wavevector in terms:
-                if len(wavevector) != grid.dim:
-                    raise ValueError(f"wavevector {wavevector} has wrong length for dim {grid.dim}")
-                phase = sum(2.0 * np.pi * k * x for k, x in zip(wavevector, coords))
-                values += float(amplitude) * np.cos(phase)
-            comps.append(ScalarField(grid, values))
-        return VectorField(grid, tuple(comps))
+        return VectorField(grid, tuple(trig_series(grid, terms) for terms in spec.components))
 
     if spec.kind == "file":
         loaded = read_field(spec.path)

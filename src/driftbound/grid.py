@@ -26,6 +26,7 @@ __all__ = [
     "laplacian",
     "heat_semigroup",
     "lp_norm",
+    "trig_series",
     "write_field",
     "read_field",
 ]
@@ -266,11 +267,22 @@ def lp_norm(f, p):
         return float((f.grid.cell_volume * (np.abs(values) ** p).sum()) ** (1.0 / p))
 
 
+def trig_series(grid, terms):
+    """The scalar field sum(amplitude * cos(2 pi k . x)) over (amplitude, k) terms."""
+    values = np.zeros(grid.shape)
+    for amplitude, wavevector in terms:
+        if len(wavevector) != grid.dim:
+            raise ValueError(f"wavevector {wavevector} has wrong length for dim {grid.dim}")
+        phase = sum(2.0 * np.pi * k * x for k, x in zip(wavevector, grid.coordinates))
+        values += float(amplitude) * np.cos(phase)
+    return ScalarField(grid, values)
+
+
 _MAGIC_HEADER = struct.Struct("<qq")
 
 
-def write_field(path, field, fmt=None):
-    """Write a scalar or vector field.
+def write_field(path, field):
+    """Write a scalar or vector field; a ``.csv`` suffix selects CSV.
 
     Format is ``(d, n)`` header then row-major values; binary files use
     little-endian int64 header and float64 values, CSV files a ``d,n`` first
@@ -278,47 +290,39 @@ def write_field(path, field, fmt=None):
     consecutive blocks; the element count distinguishes scalar from vector.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "binary"
-    if isinstance(field, VectorField):
-        grid = field.grid
-        blocks = [c.values for c in field.components]
-    else:
-        grid = field.grid
-        blocks = [field.values]
-    flat = np.concatenate([b.reshape(-1) for b in blocks])
-    if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC_HEADER.pack(grid.dim, grid.n))
-            fh.write(flat.astype("<f8").tobytes())
-    elif fmt == "csv":
+    blocks = field.components if isinstance(field, VectorField) else [field]
+    grid = field.grid
+    flat = np.concatenate([b.values.reshape(-1) for b in blocks])
+    if path.suffix.lower() == ".csv":
         with open(path, "w") as fh:
             fh.write(f"{grid.dim},{grid.n}\n")
             for x in flat:
                 fh.write(f"{x:.17g}\n")
     else:
-        raise ValueError(f"unknown field format {fmt!r}")
+        with open(path, "wb") as fh:
+            fh.write(_MAGIC_HEADER.pack(grid.dim, grid.n))
+            fh.write(flat.astype("<f8").tobytes())
 
 
-def read_field(path, fmt=None):
+def read_field(path):
     """Read a field written by :func:`write_field`.
 
     Returns a ScalarField or VectorField depending on the stored count.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "binary"
-    if fmt == "binary":
-        raw = path.read_bytes()
-        dim, n = _MAGIC_HEADER.unpack_from(raw)
-        flat = np.frombuffer(raw, dtype="<f8", offset=_MAGIC_HEADER.size)
-    elif fmt == "csv":
+    if path.suffix.lower() == ".csv":
         with open(path) as fh:
             header = fh.readline().strip()
             dim, n = (int(tok) for tok in header.split(","))
             flat = np.array([float(line) for line in fh if line.strip()])
     else:
-        raise ValueError(f"unknown field format {fmt!r}")
+        raw = path.read_bytes()
+        if len(raw) < _MAGIC_HEADER.size:
+            raise ValueError(
+                f"{path} holds {len(raw)} bytes, fewer than the {_MAGIC_HEADER.size}-byte header"
+            )
+        dim, n = _MAGIC_HEADER.unpack_from(raw)
+        flat = np.frombuffer(raw, dtype="<f8", offset=_MAGIC_HEADER.size)
     grid = TorusGrid(int(dim), int(n))
     if flat.size == grid.size:
         return ScalarField(grid, flat.reshape(grid.shape))

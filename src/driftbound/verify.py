@@ -82,9 +82,17 @@ class VerificationReport:
         return out
 
     def __str__(self):
+        # Several checks hold with equality at t = 0 by construction, so the
+        # margin is the least relative slack (rhs - lhs) / |rhs| over t > 0.
+        # (rhs is 0 after t = 0 only for a zero datum, where the slack is 0 too)
+        later = self.times > 0
+        relative = self.slack[later] / np.maximum(np.abs(self.rhs[later]), np.finfo(float).tiny)
+        i = int(np.argmin(relative))
+        # a one-checkpoint report (cauchy_convergence) has no time axis
+        where = f" at t={self.times[later][i]:.4g}" if len(self.times) > 1 else ""
         status = "PASS" if self.passed else "FAIL"
         return (
-            f"{self.inequality_id:<24s} {status}  min slack {self.min_slack:+.3e} "
+            f"{self.inequality_id:<24s} {status}  min relative slack {relative[i]:+.3e}{where} "
             f"(tol_rel {self.tol_rel:g}, {len(self.times)} checkpoints)"
         )
 

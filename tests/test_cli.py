@@ -1,11 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 from driftbound import cli
-from driftbound.cli import DEFAULTS, REQUIRED, load_config, main
+from driftbound.cli import DEFAULTS, REQUIRED, Experiment, load_config, main
 from driftbound.solver import solve
 
 
@@ -65,6 +66,16 @@ class TestInit:
                 if default is not REQUIRED and default is not None:
                     assert shown == default, f"{section}.{key}"
 
+    def test_benchmark_and_init_configs_build_an_experiment(self, tmp_path):
+        # the frozen benchmark config must keep loading under any config change
+        target = tmp_path / "exp.yaml"
+        assert main(["init", "--config", str(target)]) == 0
+        benchmark = Path(__file__).resolve().parents[1] / "perfbench" / "template.yaml"
+        for path in (benchmark, target):
+            exp = Experiment(load_config(path), output_dir=tmp_path / "run")
+            assert exp.delta == 4.0 and exp.lp_p is None and exp.shift is None
+        assert not (tmp_path / "run").exists()
+
     def test_refuses_overwrite_without_force(self, tmp_path):
         target = tmp_path / "exp.yaml"
         target.write_text("keep: me\n")
@@ -82,6 +93,22 @@ class TestVerify:
         reports = json.loads((out / "reports.json").read_text())["reports"]
         assert reports and all(r["passed"] for r in reports)
         assert all(r["tol_rel"] == 1e-6 for r in reports)
+
+    def test_zero_drift_takes_the_explicit_delta(self, tmp_path):
+        # explicit verifier values win for a zero drift too: delta = 1 runs
+        # the L^p check, and the rate is c_delta / sqrt(delta) = 1e-8
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        data = zero_drift_config(cfg, out)
+        data["verifier"]["lp_p"] = 4
+        cfg.write_text(yaml.safe_dump(data))
+        assert main(["verify", "--config", str(cfg)]) == 0
+        reports = {
+            r["inequality_id"]: r for r in json.loads((out / "reports.json").read_text())["reports"]
+        }
+        assert "lp_contraction_p4" in reports
+        assert reports["orlicz_contraction"]["notes"]["rate"] == 1e-8
+        assert reports["cosh_energy"]["notes"]["rate"] == 1e-8
 
     def test_hardy_verify_exits_zero(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -175,6 +202,37 @@ class TestVerify:
             assert f"config error: {section}: cannot read {missing}: No such file" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section", ["drift", "initial"])
+    def test_truncated_field_file_is_config_error(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        data = zero_drift_config(cfg, out)
+        data[section].update(kind="file", path=str(empty))
+        cfg.write_text(yaml.safe_dump(data))
+        for subcommand in ("solve", "verify"):
+            assert main([subcommand, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {section}: {empty} holds 0 bytes" in err
+        assert not out.exists()
+
+    def test_explicit_shift_with_cosh_energy_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, solver={"shift": 0.5})
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert not out.exists()
+        assert "config error: cosh_energy needs the shift" in capsys.readouterr().err
+        # without cosh_energy the explicit shift is used as given
+        data = zero_drift_config(cfg, out)
+        data["solver"]["shift"] = 0.5
+        data["verifier"]["inequalities"] = ["orlicz_contraction"]
+        cfg.write_text(yaml.safe_dump(data))
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert json.loads((out / "solve.json").read_text())["shift"] == 0.5
+
     def test_null_for_a_concrete_default_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
@@ -189,6 +247,11 @@ class TestVerify:
         write_config(cfg, out, solver={"dt": 2e-2})
         assert main(["verify", "--config", str(cfg)]) == 3
         assert "runtime error: CFL violation" in capsys.readouterr().err
+        # the manifest records the failure and the files written before it
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["passed"] is False
+        assert manifest["error"].startswith("runtime error: CFL violation")
+        assert set(manifest["artifacts"]) == {"certificates.json"}
 
     @pytest.mark.parametrize(
         "section, value, status",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,13 @@ class TestFieldIO:
         assert isinstance(back, VectorField)
         for mine, theirs in zip(v.components, back.components):
             assert np.array_equal(mine.values, theirs.values)
+
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_file_shorter_than_header_rejected(self, tmp_path, size):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"\x00" * size)
+        with pytest.raises(ValueError, match=re.escape(f"{path} holds {size} bytes")):
+            read_field(path)
 
     def test_corrupt_count_rejected(self, tmp_path, grid1d):
         path = tmp_path / "bad.bin"

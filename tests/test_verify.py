@@ -11,6 +11,7 @@ from driftbound import (
     SolverConfig,
     TorusGrid,
     VectorField,
+    VerificationReport,
     build_drift,
     check_cauchy_convergence,
     check_cosh_energy,
@@ -392,3 +393,17 @@ def test_render_reports(grid1d):
     payload = r1.to_json()
     assert payload["passed"] is True
     assert len(payload["slack"]) == len(r1.times)
+
+
+def test_text_margin_is_the_least_relative_slack_after_t0():
+    # lhs = rhs at t = 0, as in the orlicz, cosh and exp checks
+    report = VerificationReport(
+        inequality_id="orlicz_contraction",
+        times=np.array([0.0, 0.5, 1.0]),
+        lhs=np.array([1.0, 1.0, 1.0]),
+        rhs=np.array([1.0, 2.0, 1.5]),
+        tol_rel=ANALYTIC_TOL,
+        passed=True,
+    )
+    assert "min relative slack +3.333e-01 at t=1 " in str(report)
+    assert report.min_slack == 0.0 and report.failure_amount == 0.0
