@@ -17,7 +17,9 @@ One YAML config file describes an experiment; subcommands run slices of it:
 Every config key and its default live in DEFAULTS, and a config error
 (exit 2) is raised before any file is written.  Every other run, a runtime
 failure (exit 3) included, writes a manifest.json listing each emitted file
-with its sha256 digest, the config digest, tool version and timestamps.
+with its sha256 digest, the config digest, tool version and timestamps; a
+failure to write outputs is a runtime failure too.  Warnings go to the
+"driftbound" logger, which the command line prints to stderr.
 Report files themselves carry no timestamps, so identical configs and seeds
 produce byte-identical reports.
 """
@@ -28,10 +30,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +64,8 @@ from .verify import (
     lp_threshold,
     render_reports,
 )
+
+log = logging.getLogger("driftbound")
 
 INEQUALITY_IDS = (
     "orlicz_contraction",
@@ -500,10 +505,12 @@ def pipeline_formbound(exp, b):
     exp.emit_json("certificates.json", payload)
     unconverged = sum(1 for c in certs if c.feasible and not c.converged)
     if unconverged:
-        print(
-            f"formbound: {unconverged} of {len(certs)} certificates did not reach "
-            f"rq_tol={exp.formbound['rq_tol']:g} within max_iter={exp.formbound['max_iter']}",
-            file=sys.stderr,
+        log.warning(
+            "formbound: %d of %d certificates did not reach rq_tol=%g within max_iter=%s",
+            unconverged,
+            len(certs),
+            exp.formbound["rq_tol"],
+            exp.formbound["max_iter"],
         )
     # a certificate counts only when its budget is feasible and its pair converged
     return all(c.feasible and c.converged for c in certs)
@@ -622,6 +629,11 @@ def pipeline_verify(exp):
 def pipeline_sde(exp):
     base, deltas = exp.sde
     results = delta_sweep(base, deltas)
+    for s in results:
+        if s.dt_warning:
+            log.warning(
+                "sde: delta=%g set dt_warning: a step exceeded 10 r_hit; halve sde.dt", s.delta
+            )
     exp.emit_json("sde.json", {"sweep": [s.to_json() for s in results]})
     lines = [f"{'delta':>8s} {'hit_fraction':>13s} {'ci':>9s} {'mean_hit_time':>14s}"]
     for s in results:
@@ -654,8 +666,9 @@ def run(subcommand, config_data, output_dir=None, seed=None, tier=None):
 
     0: every check passed; 1: a check failed; 2: config error, raised before
     any file is written; 3: a pipeline failed at run time (a CFL violation,
-    an aborted solve, a check that cannot apply to the computed values).
-    Every status but 2 ends with manifest.json; on 3 it holds the error.
+    an aborted solve, a check that cannot apply to the computed values, an
+    OSError while writing outputs).  Every status but 2 ends with
+    manifest.json where it can be written; on 3 it holds the error.
     """
     exp = None
     try:
@@ -666,15 +679,17 @@ def run(subcommand, config_data, output_dir=None, seed=None, tier=None):
         ok = True
         for name in names:
             ok = PIPELINES[name](exp) and ok
+        exp.write_manifest(ok)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         if exp is not None:
-            exp.write_manifest(False, error=f"runtime error: {exc}")
+            # an output directory that cannot be written takes the manifest too
+            with suppress(OSError):
+                exp.write_manifest(False, error=f"runtime error: {exc}")
         return 3
-    exp.write_manifest(ok)
     return 0 if ok else 1
 
 
@@ -710,13 +725,19 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(
-        args.subcommand,
-        data,
-        output_dir=args.output,
-        seed=args.seed,
-        tier=args.tolerance_tier,
-    )
+    # the stderr of this call, which a caller may have redirected
+    handler = logging.StreamHandler()
+    log.addHandler(handler)
+    try:
+        return run(
+            args.subcommand,
+            data,
+            output_dir=args.output,
+            seed=args.seed,
+            tier=args.tolerance_tier,
+        )
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -17,9 +17,12 @@ with its own Philox stream keyed by (seed, block index), and noise is drawn
 for every path of a block at every step whether or not the path is still
 active.  Results are therefore bitwise reproducible, independent of
 scheduling, and pathwise coupled across parameter sweeps that share a seed.
-A sweep draws each block-step's noise once and every delta reads the same
-arrays.  Each delta keeps its active paths compacted (positions, radii and
-their row in the block) and drops a path's row when it hits.
+A sweep draws each block-step's noise once, and one active set holds a
+block's live paths for every delta: positions as component rows, radii, the
+row in the block and the delta index.  A step advances the set in chunks of
+at most _BLOCK rows through reused work buffers.  A path that hits
+is parked at radius 1e3, where it can neither hit nor flag dt_warning, and
+parked rows are compacted out once they make up more than 1/8 of the set.
 """
 
 from __future__ import annotations
@@ -137,81 +140,117 @@ def _block_stream(seed, block_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _sq_norms(x, out, sq, tmp):
+    """Squared norms of the paths whose components are the rows of x.
+
+    Bitwise np.einsum("ij,ij->i") on row-major paths: up to 7 components its
+    kernel adds the even- and the odd-index squares in two lanes, then the
+    lanes.  sq may alias x.
+    """
+    if len(x) > 7:
+        rows = x.T.copy()
+        return np.einsum("ij,ij->i", rows, rows, out=out)
+    np.multiply(x, x, out=sq)
+    np.add.reduce(sq[0::2], axis=0, out=out)
+    np.add.reduce(sq[1::2], axis=0, out=tmp)
+    return np.add(out, tmp, out=out)
+
+
 def _simulate(base, configs):
     """Hitting statistics for each of configs, which differ from base only in delta.
 
     Every block-step draws one noise array and one crossing array, shared by
-    all configs; the per-path arithmetic is the same for one config as for
-    many, so each result is bitwise that of a run on its own.
+    all configs; the per-path arithmetic is the same in one active set for
+    many configs as alone, so each result is bitwise that of a run on its own.
     """
-    n_steps = base.n_steps
-    noise_scale = math.sqrt(2.0 * base.dt)
-    jump_limit = 10.0 * base.r_hit
-    coeffs = [c.sign * math.sqrt(c.delta) * (c.dim - 2) / 2.0 for c in configs]
+    n_cfg, dim, dt, r_hit = len(configs), base.dim, base.dt, base.r_hit
+    noise_scale = math.sqrt(2.0 * dt)
+    jump_limit = 10.0 * r_hit
+    # coeff * dt by config index; a parked path's is 0
+    coeff_dt = [c.sign * math.sqrt(c.delta) * (c.dim - 2) / 2.0 * dt for c in configs]
+    coeff_dt = np.array(coeff_dt + [0.0])
+    x0 = np.asarray(base.x0)
+    r0 = np.sqrt(np.einsum("ij,ij->i", x0[None], x0[None]))
 
-    hit_counts = [0] * len(configs)
-    hit_times = [0.0] * len(configs)
-    dt_warnings = [False] * len(configs)
+    hit_counts = np.zeros(n_cfg + 1, dtype=np.int64)
+    hit_times = np.zeros(n_cfg + 1)
+    dt_warnings = np.zeros(n_cfg + 1, dtype=bool)
+    # work buffers, reused by every block, step and chunk
+    noise, noise_t = np.empty((_BLOCK, dim)), np.empty((dim, _BLOCK))
+    crossing, step = np.empty(_BLOCK), np.empty((dim, _BLOCK))
+    w, a, e, hits = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK, bool)
 
-    n_blocks = (base.n_paths + _BLOCK - 1) // _BLOCK
-    for block in range(n_blocks):
+    for block in range((base.n_paths + _BLOCK - 1) // _BLOCK):
         size = min(_BLOCK, base.n_paths - block * _BLOCK)
         rng = _block_stream(base.seed, block)
-        # per config: positions, radii and block rows of the active paths
-        live = []
-        for _ in configs:
-            x = np.tile(np.asarray(base.x0), (size, 1))
-            r = np.sqrt(np.einsum("ij,ij->i", x, x))
-            live.append((x, r, np.arange(size, dtype=np.int32)))
+        # the active set, compacted in place: positions as component rows, radii,
+        # row in the block and config index (n_cfg for a parked path) of each path
+        which = np.repeat(np.arange(n_cfg, dtype=np.min_scalar_type(n_cfg)), size)
+        rows = np.tile(np.arange(size, dtype=np.int32), n_cfg)
+        x, r = np.repeat(x0[:, None], len(rows), axis=1), np.repeat(r0, len(rows))
+        n_parked = 0
         # per config: sum over this block's hits of the step that hit
-        hit_steps = [0] * len(configs)
+        hit_steps = np.zeros(n_cfg + 1, dtype=np.int64)
 
-        for k in range(n_steps):
-            noise = rng.standard_normal((size, base.dim))
-            crossing = rng.random(size) if base.bridge else None
-            noise *= noise_scale  # the same products as scaling each gathered row
-            for j, coeff in enumerate(coeffs):
-                x, r, rows = live[j]
-                if not len(rows):
-                    continue
-                denom = np.maximum(r, base.r_core) ** 2
-                # noise + drift, in place: the same sums as drift + noise
-                step = noise.take(rows, axis=0)
-                step += (coeff * base.dt / denom)[:, None] * x
+        for k in range(base.n_steps):
+            rng.standard_normal(out=noise[:size])
+            # the same products as scaling each gathered row
+            np.multiply(noise[:size].T, noise_scale, out=noise_t[:, :size])
+            if base.bridge:
+                rng.random(out=crossing[:size])
+            for s in range(0, len(rows), _BLOCK):
+                chunk = slice(s, s + _BLOCK)
+                xc, rc, rowc = x[:, chunk], r[chunk], rows[chunk]
+                n = len(rowc)
+                st, wc, ac, ec, hc = step[:, :n], w[:n], a[:n], e[:n], hits[:n]
+                # step = noise + (coeff dt / max(r, r_core)^2) x
+                np.square(np.maximum(rc, base.r_core, out=ac), out=ac)
+                np.divide(np.take(coeff_dt, which[chunk], out=wc), ac, out=wc)
+                for i in range(dim):
+                    np.take(noise_t[i], rowc, out=st[i], mode="clip")
+                    st[i] += np.multiply(wc, xc[i], out=ec)
+                xc += st
                 # a step with every component inside jump_limit / dim is
-                # shorter than jump_limit, so the row norms are rarely needed
-                if (
-                    not dt_warnings[j]
-                    and max(step.max(), -step.min()) >= jump_limit / base.dim
-                    and np.any(np.einsum("ij,ij->i", step, step) > jump_limit * jump_limit)
-                ):
-                    dt_warnings[j] = True
-                x += step
-                r_new = np.sqrt(np.einsum("ij,ij->i", x, x))
-                hits = r_new <= base.r_hit
+                # shorter than jump_limit, so the norms are rarely needed
+                if not dt_warnings[:n_cfg].all() and max(st.max(), -st.min()) >= jump_limit / dim:
+                    far = _sq_norms(st, ec, st, wc) > jump_limit * jump_limit
+                    dt_warnings[which[chunk][far]] = True
+                if base.bridge:
+                    np.maximum(np.subtract(rc, r_hit, out=ac), 0.0, out=ac)
+                np.sqrt(_sq_norms(xc, rc, st, ec), out=rc)
+                np.less_equal(rc, r_hit, out=hc)
                 if base.bridge:
                     # tangent-plane Brownian bridge: the normal component has
                     # variance 2 dt, so the crossing probability from signed
                     # distances (a, b) is exp(-a b / dt).  exp gives 0.0 below
                     # -746, which no uniform draw undercuts, and is slow where
                     # it underflows, so only the paths above take it
-                    a = np.maximum(r - base.r_hit, 0.0)
-                    b = np.maximum(r_new - base.r_hit, 0.0)
-                    exponent = -a * b / base.dt
-                    near = np.flatnonzero(exponent > -746.0)
+                    np.maximum(np.subtract(rc, r_hit, out=ec), 0.0, out=ec)
+                    ec *= ac
+                    ec /= dt
+                    near = np.flatnonzero(ec < 746.0)
                     with np.errstate(under="ignore"):
-                        p_cross = np.exp(exponent[near])
-                    hits[near] |= crossing[rows[near]] < p_cross
-                n_hit = int(np.count_nonzero(hits))
-                if n_hit:
-                    keep = np.flatnonzero(~hits)
-                    x, r_new, rows = x.take(keep, axis=0), r_new[keep], rows[keep]
-                    hit_counts[j] += n_hit
-                    hit_steps[j] += n_hit * (k + 1)
-                live[j] = (x, r_new, rows)
-
-        for j in range(len(configs)):
-            hit_times[j] += float(hit_steps[j]) * base.dt
+                        p_cross = np.exp(-ec[near])
+                    hc[near[crossing[rowc[near]] < p_cross]] = True
+                hit = np.flatnonzero(hc)
+                if len(hit):
+                    hit += s
+                    counts = np.bincount(which[hit], minlength=n_cfg + 1)
+                    hit_counts += counts
+                    hit_steps += counts * (k + 1)
+                    # parked at radius 1e3: never near the sphere, so it never hits again
+                    x[0, hit], x[1:, hit], r[hit] = 1e3, 0.0, 1e3
+                    which[hit] = n_cfg
+                    n_parked += len(hit)
+            if 8 * n_parked > len(rows):
+                live, m = which != n_cfg, len(rows) - n_parked
+                for v in (*x, r, rows, which):
+                    v[:m] = v[live]
+                x, r, rows, which = x[:, :m], r[:m], rows[:m], which[:m]
+                n_parked = 0
+                if not m:
+                    break
+        hit_times += hit_steps * dt
 
     return [
         HittingStats(
@@ -224,7 +263,9 @@ def _simulate(base, configs):
             seed=config.seed,
             dt_warning=warned,
         )
-        for config, count, total, warned in zip(configs, hit_counts, hit_times, dt_warnings)
+        for config, count, total, warned in zip(
+            configs, hit_counts.tolist(), hit_times.tolist(), dt_warnings.tolist()
+        )
     ]
 
 

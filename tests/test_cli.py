@@ -373,6 +373,44 @@ class TestOtherPipelines:
         payload = json.loads((out / "sde.json").read_text())
         assert [row["delta"] for row in payload["sweep"]] == [0.5, 36.0]
 
+    def test_sde_dt_warning_is_logged(self, tmp_path, capsys, caplog):
+        # noise sqrt(2 dt) = 0.045 against a jump limit of 10 r_hit = 0.11
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        sde = {"r_hit": 0.011, "r_core": 0.01, "x0": [0.05, 0.0, 0.0], "dt": 1e-3}
+        write_config(cfg, out, sde=dict(sde, deltas=[0.0, 1e-4]))
+        assert main(["sde", "--config", str(cfg)]) == 0
+        assert all(row["dt_warning"] for row in json.loads((out / "sde.json").read_text())["sweep"])
+        expected = [
+            f"sde: delta={d} set dt_warning: a step exceeded 10 r_hit; halve sde.dt"
+            for d in ("0", "0.0001")
+        ]
+        warnings = [r for r in caplog.records if r.name == "driftbound"]
+        assert {r.levelname for r in warnings} == {"WARNING"}
+        assert [r.getMessage() for r in warnings] == expected
+        assert capsys.readouterr().err.splitlines() == expected
+
+    def test_unconverged_certificates_are_logged(self, tmp_path, caplog):
+        cfg = tmp_path / "cfg.yaml"
+        write_config(cfg, tmp_path / "run", formbound={"max_iter": 2})
+        assert main(["formbound", "--config", str(cfg)]) == 1
+        [record] = [r for r in caplog.records if r.name == "driftbound"]
+        assert record.levelname == "WARNING"
+        assert record.getMessage() == (
+            "formbound: 4 of 4 certificates did not reach rq_tol=1e-10 within max_iter=2"
+        )
+
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
+        # the output directory lies under a regular file: neither the outputs
+        # nor the manifest can be written
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "cfg.yaml"
+        write_config(cfg, blocker / "run", sde={"n_paths": 100})
+        assert main(["sde", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize(
         "sde_edit",
         [

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.special import erfc
 
@@ -172,6 +174,122 @@ class TestDeltaSweep:
         fwd = delta_sweep(base, [0.5, 4.0])
         rev = delta_sweep(base, [4.0, 0.5])
         assert fwd[0] == rev[1] and fwd[1] == rev[0]
+
+
+def battery_config(**overrides):
+    params = dict(delta=4.0, dt=1e-4, n_paths=3000, seed=13)
+    params.update(overrides)
+    return base_config(**params)
+
+
+def frozen(delta, hit_count, n_paths, mean_hit_time, seed, dt_warning=False):
+    """repr of the HittingStats the one-active-set-per-delta engine returned."""
+    stats = sde.HittingStats(
+        delta=delta,
+        hit_count=hit_count,
+        n_paths=n_paths,
+        hit_fraction=hit_count / n_paths,
+        mean_hit_time=mean_hit_time,
+        confidence_halfwidth=wilson_halfwidth(hit_count, n_paths),
+        seed=seed,
+        dt_warning=dt_warning,
+    )
+    return repr(stats)
+
+
+class TestFrozenEngine:
+    """Statistics of the engine that kept one active set per delta, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            (
+                {"dim": 4, "x0": (0.45, 0.0, 0.0, 0.0)},
+                frozen(4.0, 1161, 3000, 0.008928940568475452, 13),
+            ),
+            (
+                {"dim": 5, "x0": (0.3, 0.3, 0.0, 0.0, 0.1)},
+                frozen(4.0, 1267, 3000, 0.008080899763220205, 13),
+            ),
+            (
+                # beyond 7 components the radii come from einsum itself
+                {"dim": 8, "x0": (0.45,) + (0.0,) * 7},
+                frozen(4.0, 1158, 3000, 0.008815544041450778, 13),
+            ),
+            ({"sign": 1}, frozen(4.0, 716, 3000, 0.008629748603351957, 13)),
+            ({"bridge": False}, frozen(4.0, 1061, 3000, 0.009079641847313854, 13)),
+            ({"n_paths": 1, "delta": 100.0, "seed": 5}, frozen(100.0, 1, 1, 0.0037, 5)),
+        ],
+        ids=["dim4", "dim5", "dim8", "repulsive", "no_bridge", "one_path"],
+    )
+    def test_single_runs(self, overrides, expected):
+        assert repr(simulate_hardy_sde(battery_config(**overrides))) == expected
+
+    def test_sweep_through_zero(self):
+        sweep = delta_sweep(battery_config(), [0.0, 0.5, 4.0, 36.0])
+        assert [repr(s) for s in sweep] == [
+            frozen(0.0, 910, 3000, 0.008787802197802197, 13),
+            frozen(0.5, 995, 3000, 0.008819497487437187, 13),
+            frozen(4.0, 1149, 3000, 0.008858485639686685, 13),
+            frozen(36.0, 1630, 3000, 0.008796441717791412, 13),
+        ]
+
+    @pytest.mark.parametrize("dim", range(3, 11))
+    def test_component_norms_sum_in_einsum_order(self, dim):
+        # the engine's radii equal einsum's bit for bit only while numpy's
+        # contiguous einsum kernel keeps its lane order; a numpy upgrade that
+        # changes it fails here before it moves any hitting statistic
+        rng = np.random.default_rng(dim)
+        paths = rng.standard_normal((1001, dim)) * rng.uniform(1e-3, 1e3, (1001, 1))
+        components = np.ascontiguousarray(paths.T)
+        norms = sde._sq_norms(components, np.empty(1001), np.empty_like(components), np.empty(1001))
+        assert np.array_equal(norms, np.einsum("ij,ij->i", paths, paths))
+
+
+class TestDtWarning:
+    def test_long_steps_flag_every_member(self):
+        # noise sqrt(2 dt) = 0.045 against a jump limit of 10 r_hit = 0.11
+        cfg = base_config(
+            r_hit=0.011, r_core=0.01, dt=1e-3, x0=(0.05, 0.0, 0.0), n_paths=2000, seed=13
+        )
+        expected = [
+            frozen(0.0, 460, 2000, 0.0030260869565217393, 13, True),
+            frozen(1e-4, 461, 2000, 0.0030303687635574836, 13, True),
+            frozen(4e-4, 462, 2000, 0.0030606060606060605, 13, True),
+        ]
+        assert repr(simulate_hardy_sde(cfg)) == expected[0]
+        assert [repr(s) for s in delta_sweep(cfg, [0.0, 1e-4, 4e-4])] == expected
+
+    def test_paths_that_hit_never_flag(self):
+        # every path hits in its first step; had the hit paths kept stepping,
+        # 500 paths x 49 steps at a 4.5-sigma jump limit would flag the run
+        cfg = base_config(
+            r_hit=0.011,
+            r_core=0.01,
+            dt=3e-4,
+            t_final=0.015,
+            x0=(0.0110001, 0.0, 0.0),
+            n_paths=500,
+            seed=0,
+        )
+        assert repr(simulate_hardy_sde(cfg)) == frozen(0.0, 500, 500, 0.0003, 0)
+        assert [repr(s) for s in delta_sweep(cfg, [0.0, 1e-3])] == [
+            frozen(0.0, 500, 500, 0.0003, 0),
+            frozen(1e-3, 500, 500, 0.0003, 0),
+        ]
+
+
+def test_template_sweep_memory_peak():
+    # the template's sweep cut to 100 steps; work buffers of full sweep size
+    # would push the peak past this bound
+    base = base_config(t_final=0.002, seed=0)
+    tracemalloc.start()
+    try:
+        delta_sweep(base, [0.5, 4.0, 36.0, 100.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def test_wilson_halfwidth_frozen_value():
