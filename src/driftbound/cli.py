@@ -17,9 +17,9 @@ One YAML config file describes an experiment; subcommands run slices of it:
 Every config key and its default live in DEFAULTS, and a config error
 (exit 2) is raised before any file is written.  Every other run, a runtime
 failure (exit 3) included, writes a manifest.json listing each emitted file
-with its sha256 digest, the config digest, tool version and timestamps; a
-failure to write outputs is a runtime failure too.  Warnings go to the
-"driftbound" logger, which the command line prints to stderr.
+with its sha256 digest, the exit status, the config digest, tool version and
+timestamps; a failure to write outputs is a runtime failure too.  Warnings
+go to the "driftbound" logger, which the command line prints to stderr.
 Report files themselves carry no timestamps, so identical configs and seeds
 produce byte-identical reports.
 """
@@ -32,8 +32,10 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -444,7 +446,7 @@ class Experiment:
         path.write_text(text)
         return path
 
-    def write_manifest(self, passed, error=None):
+    def write_manifest(self, status, error=None):
         self.ensure_outdir()
         files = {}
         for path in sorted(self.output_dir.rglob("*")):
@@ -458,7 +460,8 @@ class Experiment:
             "seed": self.seed,
             "started": self._t_started,
             "finished": time.time(),
-            "passed": bool(passed),
+            "passed": status == 0,
+            "status": status,
             "error": error,
             "artifacts": files,
         }
@@ -586,16 +589,31 @@ def pipeline_verify(exp):
     # schedule B is solved only for the Cauchy check; every member of A and B
     # is solved exactly once.  Only the finest member feeds diagnostics.csv and
     # the per-step checks; the others need just dirichlet_v and the snapshots.
-    members_b = exp.schedule_b if run_cauchy else []
-    drifts = [mollify_drift(b, eps) for eps in members + members_b]
+    # The members are solved concurrently on min(members, CPUs) threads.  Each
+    # task mollifies its own member and keeps only <|b_eps|^2> of its drift,
+    # all that gradient_bound's c0 reads, so only drifts in flight are alive.
+    # Each solve is sequential on its own buffers, so no byte depends on the
+    # thread count or timing.  The finest, the costliest solve, is submitted
+    # first; results are gathered in schedule order, so the first error raised
+    # and every output byte are the serial loop's.
+    schedule = members + (exp.schedule_b if run_cauchy else [])
     finest_index = len(members) - 1
-    solved = [
-        solve(b_eps, f, config, diagnostics=i == finest_index) for i, b_eps in enumerate(drifts)
-    ]
-    for traj, eps in zip(solved, members + members_b):
+
+    def solve_member(i):
+        b_eps = mollify_drift(b, schedule[i])
+        mean_square = exp.grid.cell_volume * float(b_eps.magnitude_squared().sum())
+        return solve(b_eps, f, config, diagnostics=i == finest_index), mean_square
+
+    pool = ThreadPoolExecutor(min(len(schedule), os.cpu_count() or 1))
+    try:
+        order = sorted(range(len(schedule)), key=lambda i: i != finest_index)
+        futures = {i: pool.submit(solve_member, i) for i in order}
+        solved, mean_squares = zip(*(futures[i].result() for i in range(len(schedule))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for traj, eps in zip(solved, schedule):
         if traj.aborted:
             raise RuntimeError(f"solve aborted for eps={eps}: {traj.abort_message}")
-    drifts = drifts[: len(members)]
     trajs, trajs_b = solved[: len(members)], solved[len(members) :]
     finest = trajs[-1]
     exp.ensure_outdir()
@@ -614,9 +632,7 @@ def pipeline_verify(exp):
         for p in config.p_list:
             reports.append(check_exp_energy(finest, p, delta, c_delta, tol_rel=exp.tol_rel))
     if "gradient_bound" in selected:
-        c0 = config.t_final * max(
-            exp.grid.cell_volume * float(d.magnitude_squared().sum()) for d in drifts
-        )
+        c0 = config.t_final * max(mean_squares[: len(members)])
         reports.append(check_gradient_bound(trajs, f, c0, tol_rel=exp.tol_rel))
     if run_cauchy:
         reports.append(check_cauchy_convergence(trajs, trajs_b, tol_rel=exp.tol_rel))
@@ -668,7 +684,8 @@ def run(subcommand, config_data, output_dir=None, seed=None, tier=None):
     any file is written; 3: a pipeline failed at run time (a CFL violation,
     an aborted solve, a check that cannot apply to the computed values, an
     OSError while writing outputs).  Every status but 2 ends with
-    manifest.json where it can be written; on 3 it holds the error.
+    manifest.json where it can be written, recording the status; on 3 it
+    holds the error.
     """
     exp = None
     try:
@@ -679,7 +696,8 @@ def run(subcommand, config_data, output_dir=None, seed=None, tier=None):
         ok = True
         for name in names:
             ok = PIPELINES[name](exp) and ok
-        exp.write_manifest(ok)
+        status = 0 if ok else 1
+        exp.write_manifest(status)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -688,9 +706,9 @@ def run(subcommand, config_data, output_dir=None, seed=None, tier=None):
         if exp is not None:
             # an output directory that cannot be written takes the manifest too
             with suppress(OSError):
-                exp.write_manifest(False, error=f"runtime error: {exc}")
+                exp.write_manifest(3, error=f"runtime error: {exc}")
         return 3
-    return 0 if ok else 1
+    return status
 
 
 def main(argv=None):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import yaml
 
 from driftbound import cli
 from driftbound.cli import DEFAULTS, REQUIRED, Experiment, load_config, main
+from driftbound.drift import mollify_drift
 from driftbound.solver import solve
 
 
@@ -117,14 +119,18 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 0
         text = (out / "reports.txt").read_text()
         assert "aggregate                PASS" in text
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == 0 and manifest["passed"] is True
 
     def test_only_the_finest_member_is_solved_in_full(self, tmp_path, monkeypatch):
         # the finest schedule-A member feeds diagnostics.csv and the per-step
-        # checks; every other member is read only for dirichlet_v and snapshots
+        # checks; every other member is read only for dirichlet_v and snapshots.
+        # The members are solved concurrently, so each call is keyed by its
+        # member's max|b_eps| rather than by its position in the call order.
         calls = []
 
         def recording(b, f, config, diagnostics=True):
-            calls.append(diagnostics)
+            calls.append((b.max_magnitude(), diagnostics))
             return solve(b, f, config, diagnostics=diagnostics)
 
         monkeypatch.setattr(cli, "solve", recording)
@@ -132,8 +138,66 @@ class TestVerify:
         out = tmp_path / "run"
         write_config(cfg, out)
         assert main(["verify", "--config", str(cfg)]) == 0
+        exp = Experiment(load_config(cfg))
+        b = exp.build_drift()
         # schedule A, then schedule B (half of each A member)
-        assert calls == [False, True, False, False]
+        magnitudes = [mollify_drift(b, eps).max_magnitude() for eps in exp.schedule + exp.schedule_b]
+        assert len(set(magnitudes)) == 4
+        assert sorted(calls) == sorted(zip(magnitudes, [False, True, False, False]))
+
+    def test_outputs_do_not_depend_on_completion_order(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.yaml"
+        write_config(cfg, tmp_path / "plain")
+        assert main(["verify", "--config", str(cfg)]) == 0
+
+        # the finest member, submitted first, waits until the three light
+        # members have returned, so that it finishes last
+        finished = []
+        lights_done = threading.Event()
+
+        def finest_last(b, f, config, diagnostics=True):
+            if diagnostics:
+                assert lights_done.wait(timeout=120)
+            traj = solve(b, f, config, diagnostics=diagnostics)
+            finished.append(diagnostics)
+            if len(finished) == 3:
+                lights_done.set()
+            return traj
+
+        monkeypatch.setattr(cli, "solve", finest_last)
+        # two pool threads even on a one-core host, or the finest would block
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert main(["verify", "--config", str(cfg), "--output", str(tmp_path / "late")]) == 0
+        assert finished == [False, False, False, True]
+        for name in ("reports.json", "certificates.json", "diagnostics.csv"):
+            assert (tmp_path / "late" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_first_violation_in_schedule_order_ends_the_run(self, tmp_path, capsys):
+        # dt = 0.015 breaks CFL for every member finer than eps = 1e-2.  The
+        # first violating member in schedule order is the middle schedule-A
+        # one; the finest, which is submitted first, quotes a smaller bound.
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(
+            cfg,
+            out,
+            mollification={"schedule": [1e-2, 5e-3, 2.5e-3]},
+            solver={"dt": 1.5e-2, "t_final": 3e-2, "snapshot_stride": 1},
+        )
+        exp = Experiment(load_config(cfg))
+        b, f = exp.build_drift(), exp.build_initial()
+        solve(mollify_drift(b, 1e-2), f, exp.solver, diagnostics=False)  # within its bound
+        messages = []
+        for eps in (5e-3, 2.5e-3):
+            with pytest.raises(ValueError, match="CFL violation") as info:
+                solve(mollify_drift(b, eps), f, exp.solver, diagnostics=False)
+            messages.append(f"runtime error: {info.value}")
+        assert messages[0] != messages[1]
+        assert main(["verify", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert messages[0] in err and messages[1] not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == messages[0]
 
     @pytest.mark.parametrize("subcommand", ["formbound", "verify"])
     def test_unconverged_certificates_fail(self, tmp_path, capsys, subcommand):
@@ -143,7 +207,8 @@ class TestVerify:
         assert main([subcommand, "--config", str(cfg)]) == 1
         certs = json.loads((out / "certificates.json").read_text())["certificates"]
         assert certs and all(row["feasible"] and not row["converged"] for row in certs)
-        assert json.loads((out / "manifest.json").read_text())["passed"] is False
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["passed"] is False and manifest["status"] == 1
         assert "did not reach rq_tol" in capsys.readouterr().err
         if subcommand == "verify":
             # the checks themselves pass; the certificates alone fail the run
@@ -249,7 +314,7 @@ class TestVerify:
         assert "runtime error: CFL violation" in capsys.readouterr().err
         # the manifest records the failure and the files written before it
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["passed"] is False
+        assert manifest["passed"] is False and manifest["status"] == 3
         assert manifest["error"].startswith("runtime error: CFL violation")
         assert set(manifest["artifacts"]) == {"certificates.json"}
 
