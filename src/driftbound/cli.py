@@ -271,6 +271,9 @@ class Experiment:
             self.seed = int(seed if seed is not None else exp["seed"])
             # an explicit seed also wins over sde.seed
             self.seed_overridden = seed is not None
+            if self.seed < 0:
+                name = "--seed" if self.seed_overridden else "experiment.seed"
+                raise ConfigError(f"{name} must be >= 0, got {self.seed}")
             self.output_dir = Path(output_dir or exp["output_dir"])
             self.tier = tier or exp["tolerance_tier"]
             if self.tier not in ("analytic", "singular"):
@@ -309,6 +312,11 @@ class Experiment:
             if fb["c_values"] is not None:
                 fb["c_values"] = [float(c) for c in fb["c_values"]]
             fb["max_iter"], fb["rq_tol"] = int(fb["max_iter"]), float(fb["rq_tol"])
+            if fb["max_iter"] < 1 or not fb["rq_tol"] > 0:
+                raise ConfigError(
+                    f"formbound needs max_iter >= 1 and rq_tol > 0, got "
+                    f"max_iter={fb['max_iter']}, rq_tol={fb['rq_tol']}"
+                )
         self.initial_cfg = _section(data, "initial")
 
         with _checking("solver"):
@@ -368,7 +376,9 @@ class Experiment:
         self._t_started = time.time()
 
     def _sde_sweep(self, cfg):
-        seed = self.seed if self.seed_overridden or cfg["seed"] is None else cfg["seed"]
+        seed = self.seed if self.seed_overridden or cfg["seed"] is None else int(cfg["seed"])
+        if seed < 0:
+            raise ConfigError(f"sde.seed must be >= 0, got {seed}")
         base = SdeConfig(
             dim=int(cfg["dim"]),
             delta=float(cfg["delta"]),
@@ -376,7 +386,7 @@ class Experiment:
             t_final=float(cfg["t_final"]),
             dt=float(cfg["dt"]),
             n_paths=int(cfg["n_paths"]),
-            seed=int(seed),
+            seed=seed,
             r_hit=float(cfg["r_hit"]),
             r_core=float(cfg["r_core"]),
             sign=int(cfg["sign"]),

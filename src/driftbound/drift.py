@@ -5,27 +5,23 @@ b and a zeroth-order budget c >= <|b|^2>,
 
     delta_hat(c) = sup_phi  ( ||b phi||_2^2 - c ||phi||_2^2 ) / ||grad phi||_2^2
 
-over mean-zero, Nyquist-free grid fields.  The supremum is the top
-generalized eigenvalue of (M - c, L) with M pointwise multiplication by
-|b|^2 and L the discrete Dirichlet form: the top eigenvalue of the
-symmetrized operator L^(-1/2) (M - c) L^(-1/2), applied with FFTs.  Budgets c
-below <|b|^2> are infeasible: the constant trial function already forces an
-infinite gradient budget there.  The zeroth-order constant c(delta) is the
-top eigenvalue of |b|^2 - delta L.  Both come from one eigen-engine, LOBPCG
-(Knyazev, SIAM J. Sci. Comput. 23, 2001), stopped on the relative
-eigen-residual ||A psi - rho psi|| / |rho|; some eigenvalue of A lies within
-||A psi - rho psi|| of rho.
+over mean-zero, Nyquist-free grid fields: the top eigenvalue of L^(-1/2)
+(M - c) L^(-1/2), with M multiplication by |b|^2 and L the discrete Dirichlet
+form, applied with FFTs.  Budgets c below <|b|^2> are infeasible (the constant
+trial function forces an infinite gradient budget).  The zeroth-order constant
+c(delta) is the top eigenvalue of |b|^2 - delta L.  Both come from one
+eigen-engine, LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) in numpy, stopped
+on the relative eigen-residual ||A psi - rho psi|| / |rho|.  It sums grid
+arrays without BLAS, so no result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .grid import (
     ScalarField,
@@ -163,9 +159,9 @@ class FormBoundCertificate:
     witness is the maximizing mean-zero trial function (L2-normalized).
     residual is the relative eigen-residual ||A psi - rho psi|| / |rho| of the
     final Ritz pair (rho = rayleigh_quotient), so some eigenvalue of A lies
-    within residual * |rho| of rho; converged means residual <= rq_tol.
-    iterations counts the operator applications.  Infeasible budgets (c below
-    <|b|^2>) carry delta_hat = inf and no witness.
+    within residual * |rho| of rho; converged means residual <= rq_tol on a
+    fresh application of A.  iterations counts the operator applications.
+    Infeasible budgets (c below <|b|^2>) carry delta_hat = inf and no witness.
     """
 
     c_delta: float
@@ -188,59 +184,63 @@ class FormBoundCertificate:
         }
 
 
+def _inner(u, v):
+    # einsum without optimize never calls BLAS, so no sum depends on its threads
+    return float(np.einsum("i,i->", u.ravel(), v.ravel()))
+
+
 def _top_eigenpair(apply, precondition, x0, tol, max_iter):
-    """Top eigenpair of the symmetric operator ``apply`` by LOBPCG.
+    """Top eigenpair of the symmetric operator ``apply`` by LOBPCG, block size 1.
 
-    apply and precondition (None for none) map a grid array to one.  Returns
-    (rho, psi, residual, converged, applications): psi is the unit Ritz
-    vector, rho its Rayleigh quotient and residual ||A psi - rho psi|| / |rho|,
-    recomputed here (0 for the zero operator).  LOBPCG is restarted from its
-    best iterate until residual <= tol, or until another pass could take
-    the operator applications past max_iter.
+    apply and the preconditioner T (None for none) map a grid array to one.
+    Each iteration is a Rayleigh-Ritz step on span{x, T r, p}, r = A x - rho x,
+    with x, p orthonormal (Hetmaniuk and Lehoucq, J. Comput. Phys. 218, 2006),
+    two Gram-Schmidt passes on T r, and A x, A p carried by recurrence: one
+    application of A per iteration.  Returns (rho, psi, residual, converged,
+    applications), residual = ||A psi - rho psi|| / |rho| (0 for A = 0).  Stops
+    when that is <= tol on a fresh application of A (converged), after max_iter
+    applications, or when T r lies in span{x, p}.
     """
-    applications = 0
-
-    def matmat(block):  # one column: the block size is 1
-        nonlocal applications
-        applications += 1
-        return apply(block.reshape(x0.shape)).reshape(block.shape)
-
-    def premat(block):
-        return precondition(block.reshape(x0.shape)).reshape(block.shape)
-
-    def rayleigh(psi):
-        a_psi = matmat(psi)
-        rho = float(np.vdot(psi, a_psi))
-        r = float(np.linalg.norm(a_psi - rho * psi))
-        return rho, r / abs(rho) if rho else (math.inf if r else 0.0)
-
-    psi = x0.reshape(-1, 1) / np.linalg.norm(x0)
-    rho, residual = rayleigh(psi)
-    # a lobpcg pass with maxiter m applies A at most m + 3 times, and the
-    # check after it once more
-    while residual > tol and applications + 4 <= max_iter:
-        # lobpcg tests the absolute residual, and warns when it misses it
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            psi = scipy.sparse.linalg.lobpcg(
-                matmat,
-                psi,
-                M=premat if precondition else None,
-                tol=max(tol * abs(rho), np.finfo(float).tiny),
-                maxiter=max_iter - applications - 4,
-                largest=True,
-            )[1]
-        psi /= np.linalg.norm(psi)
-        rho, residual = rayleigh(psi)
-    return rho, psi.reshape(x0.shape), residual, residual <= tol, applications
+    x = x0 / math.sqrt(_inner(x0, x0))
+    basis, images, applications, fresh = [x], [apply(x)], 1, True  # basis: x, then p
+    while True:
+        x, ax = basis[0], images[0]
+        rho = _inner(x, ax)
+        r = ax - rho * x
+        r_norm = math.sqrt(_inner(r, r))
+        residual = r_norm / abs(rho) if rho else (math.inf if r_norm else 0.0)
+        if residual <= tol and not fresh and applications < max_iter:
+            images[0], applications, fresh = apply(x), applications + 1, True
+            continue
+        if residual <= tol or applications >= max_iter:
+            break
+        w = precondition(r) if precondition else r
+        for v in basis + basis:
+            w = w - _inner(v, w) * v
+        w_norm = math.sqrt(_inner(w, w))
+        if w_norm == 0.0:
+            break
+        basis.append(w / w_norm)
+        images.append(apply(basis[-1]))
+        applications, fresh = applications + 1, False
+        k = len(basis)
+        h = [[_inner(basis[i], images[j]) if j <= i else 0.0 for j in range(k)] for i in range(k)]
+        c = np.linalg.eigh(np.array(h))[1][:, -1]  # eigh reads the lower triangle
+        # the new x, and p: the unit vector of span{x, new x} orthogonal to new x
+        step = math.sqrt(float(np.sum(c[1:] ** 2)))
+        coeffs = [c] if step == 0.0 else [c, np.concatenate(([-step], c[0] / step * c[1:]))]
+        basis, images = (
+            [sum(a * v for a, v in zip(q, vs)) for q in coeffs] for vs in (basis, images)
+        )
+    return rho, x, residual, residual <= tol and fresh, applications
 
 
 def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0):
     """Estimate delta_hat(c) for each budget c with the eigen-engine.
 
     Returns one FormBoundCertificate per entry of c_values, in order.  Budgets
-    below <|b|^2> are reported infeasible.  A pair still above rq_tol after
-    max_iter operator applications is returned with converged False.
+    below <|b|^2> are reported infeasible.  A pair not confirmed within rq_tol
+    after max_iter operator applications is returned with converged False.
     """
     grid = b.grid
     b_sq = b.magnitude_squared()

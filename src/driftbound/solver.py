@@ -74,6 +74,8 @@ class SolverConfig:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if not self.p_list:
+            raise ValueError("p_list must name at least one even power")
         for p in self.p_list:
             if p != int(p) or int(p) < 2 or int(p) % 2:
                 raise ValueError(f"p_list entries must be even integers >= 2, got {p}")

@@ -243,6 +243,12 @@ class TestVerify:
             ("initial", {"terms": [[0.5]]}),  # a term without its wavevector
             ("solver", {"dt": 1.0e-3, "t_final": 0.0205}),  # not a whole number of steps
             ("verifier", {"delta": 2.0, "lp_p": 3}),  # below 2/(2 - sqrt(2)) = 3.41
+            ("solver", {"p_list": []}),
+            ("formbound", {"max_iter": 0}),
+            ("formbound", {"rq_tol": -1.0}),
+            ("formbound", {"rq_tol": 0.0}),
+            ("experiment", {"seed": -1}),
+            ("sde", {"seed": -1}),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):
@@ -252,6 +258,15 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert not out.exists()
         assert f"config error: {section}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["verify", "sde"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, subcommand):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out)
+        assert main([subcommand, "--config", str(cfg), "--seed", "-1"]) == 2
+        assert not out.exists()
+        assert "config error: --seed must be >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["drift", "initial"])
     def test_missing_field_file_is_config_error(self, tmp_path, capsys, section):

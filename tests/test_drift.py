@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import driftbound
 from driftbound import (
     DriftSpec,
     ScalarField,
@@ -179,13 +184,15 @@ class TestFormBoundEstimate:
         cert = form_bound_estimate(b, [c], rq_tol=1e-13, max_iter=20000)[0]
         assert cert.delta_hat == pytest.approx(oracle, rel=1e-8)
 
-    def test_stops_honestly_at_the_iteration_budget(self):
+    @pytest.mark.parametrize("max_iter", [1, 2, 7])
+    def test_stops_honestly_at_the_iteration_budget(self, max_iter):
         grid = TorusGrid(3, 8)
         b = hardy(grid, cutoff_radius=0.35, core_radius=0.1)
-        cert = form_bound_estimate(b, [2.0 * mean_sq(b)], max_iter=1, rq_tol=1e-10)[0]
+        # below rounding: the budget, not the tolerance, ends the loop
+        cert = form_bound_estimate(b, [2.0 * mean_sq(b)], max_iter=max_iter, rq_tol=1e-30)[0]
         assert cert.feasible and not cert.converged
-        assert cert.iterations == 1
-        assert cert.residual > 1e-10
+        assert cert.iterations == max_iter
+        assert cert.residual > 1e-30
 
     def test_witness_nearly_attains_the_bound(self):
         grid = TorusGrid(3, 32)
@@ -260,6 +267,41 @@ class TestZerothOrderConstant:
         b = hardy(TorusGrid(3, 8), cutoff_radius=0.35, core_radius=0.1)
         with pytest.raises(RuntimeError, match="eigen-solve"):
             zeroth_order_constant(b, 4.0, tol=1e-30)
+
+
+# Prints the template's c(delta) and delta_hat sweep as reprs.  It first checks
+# that the CLI's imports pull in neither scipy.sparse nor scipy.linalg, whose
+# BLAS-backed code and import cost the eigen-engine does without.
+BLAS_PROBE = """
+import sys
+import driftbound.cli
+assert not {"scipy.sparse", "scipy.linalg"} & set(sys.modules), sorted(sys.modules)
+from driftbound import DriftSpec, TorusGrid, build_drift, form_bound_estimate, zeroth_order_constant
+grid = TorusGrid(3, 32)
+b = build_drift(DriftSpec(kind="hardy", delta=4.0, sign=-1), grid)
+m = grid.cell_volume * float(b.magnitude_squared().sum())
+print(repr(zeroth_order_constant(b, 4.0)))
+for cert in form_bound_estimate(b, [k * m for k in (1.2, 2.0, 4.0, 8.0)]):
+    print(repr(cert.delta_hat), repr(cert.residual), cert.iterations, cert.converged)
+"""
+
+
+def test_eigen_engine_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(driftbound.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]
 
 
 class TestVerifyFormBound:
