@@ -79,7 +79,8 @@ INEQUALITY_IDS = (
 )
 
 TEMPLATE = """\
-# driftbound experiment configuration (all defaults shown)
+# driftbound experiment configuration.  Values are the defaults except where marked
+# required or demo; sde.seed (null -> experiment.seed) and sde.sign (-1) are not shown.
 
 experiment:
   seed: 0                     # master seed: trials, estimator noise, SDE
@@ -87,11 +88,11 @@ experiment:
   tolerance_tier: singular    # singular (5e-2) | analytic (1e-6) slack floor
 
 grid:
-  dim: 3                      # 1, 2 or 3
-  n: 32                       # even, >= 8; grid is n^dim over [-1/2, 1/2)^dim
+  dim: 3                      # required: 1, 2 or 3
+  n: 32                       # required: even, >= 8; grid is n^dim over [-1/2, 1/2)^dim
 
 drift:
-  kind: hardy                 # hardy | constant | trig | file
+  kind: hardy                 # required: hardy | constant | trig | file
   delta: 4.0                  # hardy: nominal form-bound of the singularity
   sign: -1                    # hardy: -1 attracts the flow to the origin
   core_radius: null           # hardy: null -> two grid spacings
@@ -112,13 +113,13 @@ formbound:
 
 initial:
   kind: trig                  # trig | constant | file
-  terms: [[0.5, [1, 0, 0]], [0.25, [0, 1, 1]]]   # amp * cos(2 pi k.x)
+  terms: [[0.5, [1, 0, 0]], [0.25, [0, 1, 1]]]   # demo amp cos(2 pi k.x); null -> 0.5 cos(2 pi x)
   # value: 0.5                # constant datum
   # path: initial.bin         # file datum
 
 solver:
-  dt: 5.0e-4
-  t_final: 0.05               # must be a whole number of steps
+  dt: 5.0e-4                  # required
+  t_final: 0.05               # required: a whole number of steps
   shift: auto                 # auto -> c_delta / sqrt(delta)
   snapshot_stride: 20
   scheme: if_rk2              # if_rk2 | if_euler
@@ -135,7 +136,7 @@ verifier:
 sde:
   dim: 3
   delta: 0.0                  # baseline; deltas below drive the sweep
-  deltas: [0.5, 4.0, 36.0, 100.0]
+  deltas: [0.5, 4.0, 36.0, 100.0]   # demo; null -> [delta]
   x0: [0.45, 0.0, 0.0]
   t_final: 0.02
   dt: 2.0e-5
@@ -152,15 +153,18 @@ class ConfigError(ValueError):
 # marks a DEFAULTS key that every config must set
 REQUIRED = object()
 
-# Every config key and its default; any other key is a config error.  None
-# marks a value that is optional or derived: the drift's vector, components
-# and path, and the initial value and path, are read only by their kind;
-# core_radius defaults to two grid spacings, schedule_b to half of each
-# schedule entry, c_values to [1.2, 2, 4, 8] * <|b|^2>, initial.terms to one
-# cosine along the first axis, sde.deltas to [sde.delta] and sde.seed to
-# experiment.seed.  formbound.rq_tol is the relative eigen-residual
-# ||A psi - rho psi|| / |rho| a form-bound certificate must reach to count as
-# converged, and formbound.max_iter caps its operator applications.
+# The config schema: every key and its default; any other key is a config
+# error.  The drift, solver and sde sections (sde less deltas) go whole to
+# DriftSpec, SolverConfig and SdeConfig, whose fields and defaults a test ties
+# to these, solver.shift's auto aside.  None marks a value that is optional
+# or derived: the drift's vector, components and path, and the initial value
+# and path, are read only by their kind; core_radius defaults to two grid
+# spacings, schedule_b to half of each schedule entry, c_values to
+# [1.2, 2, 4, 8] * <|b|^2>, initial.terms to one cosine along the first axis,
+# sde.deltas to [sde.delta] and sde.seed to experiment.seed.  formbound.rq_tol
+# is the relative eigen-residual ||A psi - rho psi|| / |rho| a form-bound
+# certificate must reach to count as converged, and formbound.max_iter caps
+# its operator applications.
 DEFAULTS = {
     "experiment": {"seed": 0, "output_dir": "runs/demo", "tolerance_tier": "singular"},
     "grid": {"dim": REQUIRED, "n": REQUIRED},
@@ -252,10 +256,11 @@ class Experiment:
     """Experiment state shared by the pipelines.
 
     Building it reads every section through DEFAULTS, in template order, and
-    checks what needs no computation: the tier, grid, drift spec, schedules,
-    form-bound budgets, solver parameters (a whole number of steps included),
-    verifier ids and constants, and the sde section when there is one.  It
-    fixes the checks' delta and L^p exponent; check_parameters adds c_delta
+    checks what needs no computation: the tier, grid, schedules, form-bound
+    budgets (at least one), verifier ids (at least one) and constants.  The
+    drift, solver and sde sections are passed whole to their dataclasses,
+    which convert and validate each field; sde only when the config has it.
+    It fixes the checks' delta and L^p exponent; check_parameters adds c_delta
     and the shift once the drift is built.  The pipelines raise their
     remaining config errors (a drift or datum that cannot be built, a Cauchy
     check without two schedule members, cosh_energy with an explicit shift)
@@ -287,17 +292,7 @@ class Experiment:
             self.grid = TorusGrid(int(grid["dim"]), int(grid["n"]))
 
         with _checking("drift"):
-            drift = _section(data, "drift")
-            self.drift_spec = DriftSpec(
-                kind=drift["kind"],
-                delta=float(drift["delta"]),
-                sign=int(drift["sign"]),
-                core_radius=drift["core_radius"],
-                cutoff_radius=float(drift["cutoff_radius"]),
-                vector=drift["vector"],
-                components=drift["components"],
-                path=drift["path"],
-            )
+            self.drift_spec = DriftSpec(**_section(data, "drift"))
 
         with _checking("mollification"):
             mollification = _section(data, "mollification")
@@ -312,10 +307,10 @@ class Experiment:
             if fb["c_values"] is not None:
                 fb["c_values"] = [float(c) for c in fb["c_values"]]
             fb["max_iter"], fb["rq_tol"] = int(fb["max_iter"]), float(fb["rq_tol"])
-            if fb["max_iter"] < 1 or not fb["rq_tol"] > 0:
+            if fb["max_iter"] < 1 or not fb["rq_tol"] > 0 or fb["c_values"] == []:
                 raise ConfigError(
-                    f"formbound needs max_iter >= 1 and rq_tol > 0, got "
-                    f"max_iter={fb['max_iter']}, rq_tol={fb['rq_tol']}"
+                    f"formbound needs max_iter >= 1, rq_tol > 0 and c_values != [], got "
+                    f"max_iter={fb['max_iter']}, rq_tol={fb['rq_tol']}, c_values={fb['c_values']}"
                 )
         self.initial_cfg = _section(data, "initial")
 
@@ -323,19 +318,13 @@ class Experiment:
             solver = _section(data, "solver")
             # None for auto: check_parameters sets c_delta / sqrt(delta)
             self.shift = None if solver["shift"] == "auto" else float(solver["shift"])
-            self.solver = SolverConfig(
-                dt=float(solver["dt"]),
-                t_final=float(solver["t_final"]),
-                shift=self.shift or 0.0,
-                snapshot_stride=int(solver["snapshot_stride"]),
-                scheme=solver["scheme"],
-                cfl_safety=float(solver["cfl_safety"]),
-                p_list=tuple(solver["p_list"]),
-            )
+            self.solver = SolverConfig(**{**solver, "shift": self.shift or 0.0})
 
         with _checking("verifier"):
             verifier = _section(data, "verifier")
             self.inequalities = verifier["inequalities"]
+            if not self.inequalities:
+                raise ConfigError("verifier.inequalities must name at least one check")
             unknown = [name for name in self.inequalities if name not in INEQUALITY_IDS]
             if unknown:
                 raise ConfigError(f"verifier.inequalities contains unknown ids {unknown}")
@@ -379,19 +368,9 @@ class Experiment:
         seed = self.seed if self.seed_overridden or cfg["seed"] is None else int(cfg["seed"])
         if seed < 0:
             raise ConfigError(f"sde.seed must be >= 0, got {seed}")
-        base = SdeConfig(
-            dim=int(cfg["dim"]),
-            delta=float(cfg["delta"]),
-            x0=tuple(cfg["x0"]),
-            t_final=float(cfg["t_final"]),
-            dt=float(cfg["dt"]),
-            n_paths=int(cfg["n_paths"]),
-            seed=seed,
-            r_hit=float(cfg["r_hit"]),
-            r_core=float(cfg["r_core"]),
-            sign=int(cfg["sign"]),
-        )
-        deltas = [base.delta] if cfg["deltas"] is None else [float(d) for d in cfg["deltas"]]
+        deltas = cfg.pop("deltas")
+        base = SdeConfig(**{**cfg, "seed": seed})
+        deltas = [base.delta] if deltas is None else [float(d) for d in deltas]
         # validates every swept config, so a bad delta is a config error
         sweep_configs(base, deltas)
         return base, deltas

@@ -70,6 +70,10 @@ class DriftSpec:
     path: Optional[str] = None
 
     def __post_init__(self):
+        """Convert the numeric fields (YAML reads 1e-1 as a string), then validate."""
+        self.delta, self.sign = float(self.delta), int(self.sign)
+        self.cutoff_radius = float(self.cutoff_radius)
+        self.core_radius = None if self.core_radius is None else float(self.core_radius)
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}; expected one of {DRIFT_KINDS}")
         if not 0.0 < self.cutoff_radius < 0.5:

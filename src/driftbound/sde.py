@@ -61,6 +61,10 @@ class SdeConfig:
     bridge: bool = True
 
     def __post_init__(self):
+        """Convert the numeric fields (YAML reads 2e-5 as a string), then validate."""
+        self.dim, self.n_paths, self.seed = int(self.dim), int(self.n_paths), int(self.seed)
+        self.sign, self.delta, self.dt = int(self.sign), float(self.delta), float(self.dt)
+        self.t_final, self.r_hit, self.r_core = map(float, (self.t_final, self.r_hit, self.r_core))
         if self.dim < 3:
             raise ValueError(f"dim must be >= 3, got {self.dim}")
         if self.delta < 0:

@@ -54,12 +54,15 @@ class SolverConfig:
     dt: float
     t_final: float
     shift: float = 0.0
-    snapshot_stride: int = 10
+    snapshot_stride: int = 20
     scheme: str = "if_rk2"
     cfl_safety: float = 0.5
     p_list: tuple = (2, 4)
 
     def __post_init__(self):
+        """Convert the numeric fields (YAML reads 5e-4 as a string), then validate."""
+        self.dt, self.t_final, self.shift = float(self.dt), float(self.t_final), float(self.shift)
+        self.snapshot_stride, self.cfl_safety = int(self.snapshot_stride), float(self.cfl_safety)
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_final <= 0:

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -8,8 +10,9 @@ import yaml
 
 from driftbound import cli
 from driftbound.cli import DEFAULTS, REQUIRED, Experiment, load_config, main
-from driftbound.drift import mollify_drift
-from driftbound.solver import solve
+from driftbound.drift import DriftSpec, mollify_drift
+from driftbound.sde import SdeConfig
+from driftbound.solver import SolverConfig, solve
 
 
 def write_config(path, output_dir, **overrides):
@@ -84,6 +87,52 @@ class TestInit:
         assert main(["init", "--config", str(target)]) == 2
         assert target.read_text() == "keep: me\n"
         assert main(["init", "--config", str(target), "--force"]) == 0
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "section, cls", [("drift", DriftSpec), ("solver", SolverConfig), ("sde", SdeConfig)]
+    )
+    def test_defaults_name_the_dataclass_fields(self, section, cls):
+        # Experiment passes these sections whole to their dataclass, the sde
+        # section without its sweep list deltas; bridge is no config key
+        fields = {f.name: f.default for f in dataclasses.fields(cls)}
+        if section == "sde":
+            del fields["bridge"]
+            fields["deltas"] = dataclasses.MISSING
+        assert set(DEFAULTS[section]) == set(fields)
+        for key, default in DEFAULTS[section].items():
+            if key == "p_list":
+                default = tuple(default)
+            if (section, key) == ("solver", "shift"):
+                # auto is c_delta / sqrt(delta), which only the CLI can derive
+                assert (default, fields[key]) == ("auto", 0.0)
+            elif default not in (REQUIRED, None) and fields[key] not in (dataclasses.MISSING, None):
+                assert default == fields[key], f"{section}.{key}"
+
+    def test_exponent_spelled_floats_build_the_same_experiment(self, tmp_path):
+        # YAML reads a float spelled without a dot, such as 1e-1, as a string
+        undotted = (
+            "grid: {dim: 3, n: 16}\n"
+            "drift: {kind: hardy, delta: 4e0, core_radius: 1e-1, cutoff_radius: 4e-1}\n"
+            "solver: {dt: 5e-4, t_final: 5e-2, shift: 1e0, cfl_safety: 5e-1}\n"
+            "sde: {delta: 0e0, deltas: [5e-1, 36e0], x0: [45e-2, 0e0, 0e0], t_final: 2e-2,\n"
+            "      dt: 2e-5, r_hit: 3e-1, r_core: 3e-2}\n"
+        )
+        dotted = re.sub(r"\b\d+e-?\d+\b", lambda m: f"{float(m[0]):.2e}", undotted)
+        experiments = []
+        for name, text in (("undotted", undotted), ("dotted", dotted)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            data = load_config(path)
+            assert isinstance(data["drift"]["core_radius"], str if name == "undotted" else float)
+            experiments.append(Experiment(data, output_dir=tmp_path / "run"))
+        undotted_exp, dotted_exp = (
+            {k: v for k, v in vars(exp).items() if k not in ("config_digest", "_t_started")}
+            for exp in experiments
+        )
+        assert repr(undotted_exp) == repr(dotted_exp)
+        assert undotted_exp["drift_spec"].core_radius == 0.1
 
 
 class TestVerify:
@@ -249,6 +298,8 @@ class TestVerify:
             ("formbound", {"rq_tol": 0.0}),
             ("experiment", {"seed": -1}),
             ("sde", {"seed": -1}),
+            ("formbound", {"c_values": []}),  # would certify nothing
+            ("verifier", {"inequalities": []}),  # would check nothing
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):
