@@ -16,10 +16,11 @@ One YAML config file describes an experiment; subcommands run slices of it:
 
 Every config key and its default live in DEFAULTS, and a config error
 (exit 2) is raised before any file is written.  Every other run, a runtime
-failure (exit 3) included, writes a manifest.json listing each emitted file
-with its sha256 digest, the exit status, the config digest, tool version and
-timestamps; a failure to write outputs is a runtime failure too.  Warnings
-go to the "driftbound" logger, which the command line prints to stderr.
+failure (exit 3) included, writes a manifest.json listing each file the run
+wrote with its sha256 digest, the exit status, the config digest, tool
+version and timestamps; a failure to write outputs is a runtime failure too.
+Warnings go to the "driftbound" logger, which the command line prints to
+stderr.
 Report files themselves carry no timestamps, so identical configs and seeds
 produce byte-identical reports.
 """
@@ -43,6 +44,7 @@ import numpy as np
 import yaml
 
 from . import __version__
+from ._convert import integral
 from .drift import (
     DriftSpec,
     build_drift,
@@ -263,8 +265,8 @@ class Experiment:
     It fixes the checks' delta and L^p exponent; check_parameters adds c_delta
     and the shift once the drift is built.  The pipelines raise their
     remaining config errors (a drift or datum that cannot be built, a Cauchy
-    check without two schedule members, cosh_energy with an explicit shift)
-    before they write any file.
+    check without two schedule members, cosh_energy with an explicit shift,
+    selected checks none of which can run) before they write any file.
     """
 
     def __init__(self, data, output_dir=None, seed=None, tier=None):
@@ -273,7 +275,7 @@ class Experiment:
             raise ConfigError(f"unknown sections {unknown}; known sections are {list(DEFAULTS)}")
         with _checking("experiment"):
             exp = _section(data, "experiment")
-            self.seed = int(seed if seed is not None else exp["seed"])
+            self.seed = integral(exp["seed"] if seed is None else seed, "seed")
             # an explicit seed also wins over sde.seed
             self.seed_overridden = seed is not None
             if self.seed < 0:
@@ -289,7 +291,7 @@ class Experiment:
 
         with _checking("grid"):
             grid = _section(data, "grid")
-            self.grid = TorusGrid(int(grid["dim"]), int(grid["n"]))
+            self.grid = TorusGrid(integral(grid["dim"], "dim"), integral(grid["n"], "n"))
 
         with _checking("drift"):
             self.drift_spec = DriftSpec(**_section(data, "drift"))
@@ -306,7 +308,7 @@ class Experiment:
             self.formbound = fb = _section(data, "formbound")
             if fb["c_values"] is not None:
                 fb["c_values"] = [float(c) for c in fb["c_values"]]
-            fb["max_iter"], fb["rq_tol"] = int(fb["max_iter"]), float(fb["rq_tol"])
+            fb["max_iter"], fb["rq_tol"] = integral(fb["max_iter"], "max_iter"), float(fb["rq_tol"])
             if fb["max_iter"] < 1 or not fb["rq_tol"] > 0 or fb["c_values"] == []:
                 raise ConfigError(
                     f"formbound needs max_iter >= 1, rq_tol > 0 and c_values != [], got "
@@ -363,13 +365,14 @@ class Experiment:
             json.dumps(data, sort_keys=True, default=str).encode()
         ).hexdigest()
         self._t_started = time.time()
+        self.artifacts = set()  # names of the files this run wrote
 
     def _sde_sweep(self, cfg):
-        seed = self.seed if self.seed_overridden or cfg["seed"] is None else int(cfg["seed"])
-        if seed < 0:
-            raise ConfigError(f"sde.seed must be >= 0, got {seed}")
+        seed = self.seed if self.seed_overridden or cfg["seed"] is None else cfg["seed"]
         deltas = cfg.pop("deltas")
         base = SdeConfig(**{**cfg, "seed": seed})
+        if base.seed < 0:
+            raise ConfigError(f"sde.seed must be >= 0, got {base.seed}")
         deltas = [base.delta] if deltas is None else [float(d) for d in deltas]
         # validates every swept config, so a bad delta is a config error
         sweep_configs(base, deltas)
@@ -407,41 +410,35 @@ class Experiment:
         """(delta, c_delta, SolverConfig) for the solves and checks on drift b.
 
         delta comes from __init__.  An explicit verifier.c_delta wins;
-        otherwise c_delta is the smallest constant valid for every grid field
-        at delta, or the surrogate 1e-8 for a zero drift, where the c(delta)
-        preconditioner is singular.  An explicit solver.shift wins; otherwise
-        the shift is c_delta / sqrt(delta), which the paper's estimates assume.
+        otherwise c_delta is zeroth_order_constant(b, delta), the smallest
+        constant valid for every grid field at delta (0 for a zero drift).  An
+        explicit solver.shift wins; otherwise the shift is c_delta / sqrt(delta),
+        which the paper's estimates assume.
         """
-        c_delta = self.c_delta
-        if c_delta is None:
-            c_delta = 1e-8 if b.max_magnitude() == 0.0 else zeroth_order_constant(b, self.delta)
+        c_delta = zeroth_order_constant(b, self.delta) if self.c_delta is None else self.c_delta
         shift = c_delta / math.sqrt(self.delta) if self.shift is None else self.shift
         return self.delta, c_delta, dataclasses.replace(self.solver, shift=shift)
 
     # -- artifact bookkeeping --------------------------------------------
 
-    def ensure_outdir(self):
+    def artifact(self, name):
+        """Path of output file ``name``, recorded for the manifest.
+
+        Every pipeline names its outputs here, so the manifest lists exactly
+        the files this run wrote.  Creates the output directory.
+        """
         self.output_dir.mkdir(parents=True, exist_ok=True)
+        self.artifacts.add(name)
+        return self.output_dir / name
 
     def emit_json(self, name, payload):
-        self.ensure_outdir()
-        path = self.output_dir / name
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
-
-    def emit_text(self, name, text):
-        self.ensure_outdir()
-        path = self.output_dir / name
-        path.write_text(text)
-        return path
+        self.artifact(name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def write_manifest(self, status, error=None):
-        self.ensure_outdir()
-        files = {}
-        for path in sorted(self.output_dir.rglob("*")):
-            if path.is_file() and path.name != "manifest.json":
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                files[str(path.relative_to(self.output_dir))] = digest
+        files = {
+            name: hashlib.sha256((self.output_dir / name).read_bytes()).hexdigest()
+            for name in sorted(self.artifacts)
+        }
         manifest = {
             "tool": "driftbound",
             "version": __version__,
@@ -454,9 +451,10 @@ class Experiment:
             "error": error,
             "artifacts": files,
         }
-        path = self.output_dir / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return path
+        self.output_dir.mkdir(parents=True, exist_ok=True)
+        (self.output_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
 
 
 # -- pipelines ------------------------------------------------------------
@@ -513,10 +511,8 @@ def pipeline_mollify(exp):
     rows = []
     for i, eps in enumerate(exp.schedule):
         b_eps = mollify_drift(b, eps)
-        path = exp.output_dir
-        exp.ensure_outdir()
-        field_path = path / f"drift_eps_{i}.bin"
-        write_field(field_path, b_eps)
+        name = f"drift_eps_{i}.bin"
+        write_field(exp.artifact(name), b_eps)
         gap_sq = sum(
             float(((m.values - t.values) ** 2).sum())
             for m, t in zip(b.components, b_eps.components)
@@ -526,7 +522,7 @@ def pipeline_mollify(exp):
                 "eps": eps,
                 "l2_gap_to_parent": math.sqrt(exp.grid.cell_volume * gap_sq),
                 "max_magnitude": b_eps.max_magnitude(),
-                "file": field_path.name,
+                "file": name,
             }
         )
     exp.emit_json("mollify.json", {"schedule": rows})
@@ -537,10 +533,9 @@ def pipeline_solve(exp):
     b = exp.build_drift()
     _, _, config = exp.check_parameters(b)
     traj = solve(mollify_drift(b, exp.schedule[-1]), exp.build_initial(), config)
-    exp.ensure_outdir()
-    traj.to_csv(exp.output_dir / "diagnostics.csv")
-    for i, snap_idx in enumerate(traj.snapshot_indices):
-        write_field(exp.output_dir / f"snapshot_{i:04d}.bin", traj.snapshots[i])
+    traj.to_csv(exp.artifact("diagnostics.csv"))
+    for i, snapshot in enumerate(traj.snapshots):
+        write_field(exp.artifact(f"snapshot_{i:04d}.bin"), snapshot)
     exp.emit_json(
         "solve.json",
         {
@@ -557,7 +552,7 @@ def pipeline_solve(exp):
 
 def pipeline_verify(exp):
     selected = exp.inequalities
-    if "cosh_energy" in selected and exp.shift:
+    if "cosh_energy" in selected and exp.shift is not None:
         raise ConfigError(
             f"cosh_energy needs the shift c_delta / sqrt(delta), but solver.shift is "
             f"{exp.shift:g}; set solver.shift to auto or leave cosh_energy out"
@@ -572,6 +567,14 @@ def pipeline_verify(exp):
             "cauchy_convergence needs at least two members in mollification.schedule "
             "and mollification.schedule_b"
         )
+    skipped = {}
+    if "lp_contraction" in selected and exp.lp_p is None:
+        skipped["lp_contraction"] = f"no admissible p at delta={exp.delta:g} >= 4"
+    if "cauchy_convergence" in selected and not singular_drift:
+        skipped["cauchy_convergence"] = "a zero drift has nothing to mollify"
+    if set(selected) <= skipped.keys():
+        reasons = "; ".join(f"{name}: {why}" for name, why in skipped.items())
+        raise ConfigError(f"verifier.inequalities: no selected check can run ({reasons})")
 
     delta, c_delta, config = exp.check_parameters(b)
     certified = pipeline_formbound(exp, b)
@@ -605,15 +608,14 @@ def pipeline_verify(exp):
             raise RuntimeError(f"solve aborted for eps={eps}: {traj.abort_message}")
     trajs, trajs_b = solved[: len(members)], solved[len(members) :]
     finest = trajs[-1]
-    exp.ensure_outdir()
-    finest.to_csv(exp.output_dir / "diagnostics.csv")
+    finest.to_csv(exp.artifact("diagnostics.csv"))
 
     reports = []
     if "orlicz_contraction" in selected:
         reports.append(check_orlicz_contraction(finest, delta, c_delta, tol_rel=exp.tol_rel))
     if exp.lp_p is not None:
         reports.append(check_lp_contraction(finest, exp.lp_p, delta, c_delta, tol_rel=exp.tol_rel))
-    if "cosh_energy" in selected and config.shift > 0:
+    if "cosh_energy" in selected:
         reports.append(check_cosh_energy(finest, delta, c_delta, tol_rel=exp.tol_rel))
     if "exp_energy" in selected:
         # the exponential-weight columns track the unshifted solution u, which
@@ -627,7 +629,7 @@ def pipeline_verify(exp):
         reports.append(check_cauchy_convergence(trajs, trajs_b, tol_rel=exp.tol_rel))
 
     exp.emit_json("reports.json", {"reports": [r.to_json() for r in reports]})
-    exp.emit_text("reports.txt", render_reports(reports) + "\n")
+    exp.artifact("reports.txt").write_text(render_reports(reports) + "\n")
     return certified and all(r.passed for r in reports)
 
 
@@ -644,7 +646,7 @@ def pipeline_sde(exp):
     for s in results:
         mean = "nan" if math.isnan(s.mean_hit_time) else f"{s.mean_hit_time:.5f}"
         lines.append(f"{s.delta:8.2f} {s.hit_fraction:13.5f} {s.confidence_halfwidth:9.5f} {mean:>14s}")
-    exp.emit_text("sde.txt", "\n".join(lines) + "\n")
+    exp.artifact("sde.txt").write_text("\n".join(lines) + "\n")
     fractions = [s.hit_fraction for s in results]
     budgets = [
         results[i].confidence_halfwidth + results[i + 1].confidence_halfwidth

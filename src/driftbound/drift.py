@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._convert import integral
 from .grid import (
     ScalarField,
     VectorField,
@@ -71,7 +72,7 @@ class DriftSpec:
 
     def __post_init__(self):
         """Convert the numeric fields (YAML reads 1e-1 as a string), then validate."""
-        self.delta, self.sign = float(self.delta), int(self.sign)
+        self.delta, self.sign = float(self.delta), integral(self.sign, "sign")
         self.cutoff_radius = float(self.cutoff_radius)
         self.core_radius = None if self.core_radius is None else float(self.core_radius)
         if self.kind not in DRIFT_KINDS:
@@ -165,7 +166,8 @@ class FormBoundCertificate:
     final Ritz pair (rho = rayleigh_quotient), so some eigenvalue of A lies
     within residual * |rho| of rho; converged means residual <= rq_tol on a
     fresh application of A.  iterations counts the operator applications.
-    Infeasible budgets (c below <|b|^2>) carry delta_hat = inf and no witness.
+    Infeasible budgets (c below <|b|^2>) carry delta_hat = inf and no witness;
+    budgets at or above max|b|^2 carry delta_hat = 0, residual 0 and no witness.
     """
 
     c_delta: float
@@ -243,12 +245,15 @@ def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0):
     """Estimate delta_hat(c) for each budget c with the eigen-engine.
 
     Returns one FormBoundCertificate per entry of c_values, in order.  Budgets
-    below <|b|^2> are reported infeasible.  A pair not confirmed within rq_tol
-    after max_iter operator applications is returned with converged False.
+    below <|b|^2> are reported infeasible.  Budgets at or above max|b|^2 give
+    delta_hat = 0 exactly, with no eigen-solve and no witness.  A pair not
+    confirmed within rq_tol after max_iter operator applications is returned
+    with converged False.
     """
     grid = b.grid
     b_sq = b.magnitude_squared()
     mean_b_sq = grid.cell_volume * float(b_sq.sum())
+    top = float(b_sq.max())
     sym = grid.dirichlet_symbol
     # L^(-1/2) on mean-zero, Nyquist-free fields; zero on the other modes
     inv_sqrt = np.zeros_like(sym)
@@ -275,6 +280,21 @@ def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0):
                     iterations=0,
                     converged=False,
                     feasible=False,
+                )
+            )
+            continue
+        if c >= top:
+            # M - c <= 0 pointwise, so delta_hat(c) = 0 exactly.  The eigen-solve
+            # could not confirm it: its iterate sinks into the null space of
+            # L^(-1/2), where rho -> 0 and the relative residual cannot fall.
+            certificates.append(
+                FormBoundCertificate(
+                    c_delta=c,
+                    delta_hat=0.0,
+                    witness=None,
+                    residual=0.0,
+                    iterations=0,
+                    converged=True,
                 )
             )
             continue

@@ -32,6 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._convert import integral
+
 __all__ = ["SdeConfig", "HittingStats", "simulate_hardy_sde", "sweep_configs", "delta_sweep"]
 
 _BLOCK = 1 << 14
@@ -62,8 +64,9 @@ class SdeConfig:
 
     def __post_init__(self):
         """Convert the numeric fields (YAML reads 2e-5 as a string), then validate."""
-        self.dim, self.n_paths, self.seed = int(self.dim), int(self.n_paths), int(self.seed)
-        self.sign, self.delta, self.dt = int(self.sign), float(self.delta), float(self.dt)
+        self.dim, self.n_paths = integral(self.dim, "dim"), integral(self.n_paths, "n_paths")
+        self.seed, self.sign = integral(self.seed, "seed"), integral(self.sign, "sign")
+        self.delta, self.dt = float(self.delta), float(self.dt)
         self.t_final, self.r_hit, self.r_core = map(float, (self.t_final, self.r_hit, self.r_core))
         if self.dim < 3:
             raise ValueError(f"dim must be >= 3, got {self.dim}")

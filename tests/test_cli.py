@@ -34,6 +34,9 @@ def write_config(path, output_dir, **overrides):
     return data
 
 
+ZERO_DRIFT = {"kind": "constant", "vector": [0.0, 0.0, 0.0]}
+
+
 def zero_drift_config(path, output_dir):
     return write_config(
         path,
@@ -160,6 +163,21 @@ class TestVerify:
         assert "lp_contraction_p4" in reports
         assert reports["orlicz_contraction"]["notes"]["rate"] == 1e-8
         assert reports["cosh_energy"]["notes"]["rate"] == 1e-8
+
+    def test_zero_drift_auto_constant_is_zero(self, tmp_path):
+        # c(delta) of a zero drift is exactly 0, so the auto shift is 0 and
+        # cosh_energy runs at rate 0
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        data = zero_drift_config(cfg, out)
+        data["verifier"]["c_delta"] = "auto"
+        cfg.write_text(yaml.safe_dump(data))
+        assert main(["verify", "--config", str(cfg)]) == 0
+        reports = {
+            r["inequality_id"]: r for r in json.loads((out / "reports.json").read_text())["reports"]
+        }
+        assert reports["cosh_energy"]["notes"]["rate"] == 0.0
+        assert reports["orlicz_contraction"]["notes"]["rate"] == 0.0
 
     def test_hardy_verify_exits_zero(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -300,12 +318,25 @@ class TestVerify:
             ("sde", {"seed": -1}),
             ("formbound", {"c_values": []}),  # would certify nothing
             ("verifier", {"inequalities": []}),  # would check nothing
+            ("verifier", {"inequalities": ["lp_contraction"]}),  # delta = 4 admits no p
+            # a zero drift has nothing to mollify
+            ("verifier", {"inequalities": ["cauchy_convergence"], "drift": ZERO_DRIFT}),
+            ("grid", {"n": 32.7}),  # integral fields are not truncated
+            ("grid", {"dim": 3.5}),
+            ("drift", {"sign": -1.5}),
+            ("solver", {"snapshot_stride": 5.9}),
+            ("formbound", {"max_iter": 10.5}),
+            ("experiment", {"seed": 0.5}),
+            ("sde", {"seed": 2.5}),
+            ("sde", {"n_paths": 999.9}),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
-        write_config(cfg, out, **{section: edit})
+        edit = dict(edit)
+        # an edit may carry the drift its case needs
+        write_config(cfg, out, **{"drift": edit.pop("drift", {}), section: edit})
         assert main(["verify", "--config", str(cfg)]) == 2
         assert not out.exists()
         assert f"config error: {section}" in capsys.readouterr().err
@@ -351,10 +382,11 @@ class TestVerify:
     def test_explicit_shift_with_cosh_energy_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
-        write_config(cfg, out, solver={"shift": 0.5})
-        assert main(["verify", "--config", str(cfg)]) == 2
-        assert not out.exists()
-        assert "config error: cosh_energy needs the shift" in capsys.readouterr().err
+        for shift in (0.5, 0):
+            write_config(cfg, out, solver={"shift": shift})
+            assert main(["verify", "--config", str(cfg)]) == 2
+            assert not out.exists()
+            assert "config error: cosh_energy needs the shift" in capsys.readouterr().err
         # without cosh_energy the explicit shift is used as given
         data = zero_drift_config(cfg, out)
         data["solver"]["shift"] = 0.5
@@ -425,6 +457,20 @@ class TestVerify:
         for rel, digest in manifest["artifacts"].items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
+    def test_manifest_lists_only_this_runs_files(self, tmp_path):
+        # solve leaves solve.json and snapshots behind; verify into the same
+        # directory lists only what verify wrote
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        zero_drift_config(cfg, out)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert (out / "solve.json").exists()
+        assert main(["verify", "--config", str(cfg)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["artifacts"]) == {
+            "certificates.json", "diagnostics.csv", "reports.json", "reports.txt"
+        }
+
     def test_reports_reproducible_for_same_seed(self, tmp_path):
         cfg1 = tmp_path / "a.yaml"
         cfg2 = tmp_path / "b.yaml"
@@ -474,6 +520,18 @@ class TestOtherPipelines:
         payload = json.loads((out / "certificates.json").read_text())
         assert len(payload["certificates"]) == 4
         assert all(row["feasible"] for row in payload["certificates"])
+
+    def test_formbound_constant_drift_needs_no_eigen_solve(self, tmp_path):
+        # every default budget is at least max|b|^2 = 0.25, where delta_hat is 0
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, drift={"kind": "constant", "vector": [0.5, 0.0, 0.0]})
+        assert main(["formbound", "--config", str(cfg)]) == 0
+        certs = json.loads((out / "certificates.json").read_text())["certificates"]
+        assert len(certs) == 4
+        for row in certs:
+            assert row["delta_hat"] == 0.0 and row["residual"] == 0.0
+            assert row["converged"] and row["iterations"] == 0
 
     def test_mollify(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

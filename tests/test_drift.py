@@ -152,6 +152,8 @@ class TestFormBoundEstimate:
         cert = form_bound_estimate(VectorField.zeros(grid2d), [0.0])[0]
         assert cert.feasible
         assert cert.delta_hat == 0.0
+        # a budget at or above max|b|^2 needs no eigen-solve
+        assert cert.converged and cert.iterations == 0 and cert.witness is None
 
     def test_constant_drift_exact_budget(self, grid2d):
         beta = 1.5
