@@ -466,7 +466,7 @@ def pipeline_norm(exp):
     payload = {
         "orlicz": result.value,
         "modular_at_norm": result.modular_at_value,
-        "modular_at_1": modular(f, 1.0) if lp_norm(f, np.inf) > 0 else 0.0,
+        "modular_at_1": modular(f, 1.0),
         "l1": lp_norm(f, 1),
         "l2": lp_norm(f, 2),
         "l4": lp_norm(f, 4),
@@ -579,8 +579,9 @@ def pipeline_verify(exp):
     delta, c_delta, config = exp.check_parameters(b)
     certified = pipeline_formbound(exp, b)
     # schedule B is solved only for the Cauchy check; every member of A and B
-    # is solved exactly once.  Only the finest member feeds diagnostics.csv and
-    # the per-step checks; the others need just dirichlet_v and the snapshots.
+    # is solved exactly once.  Only the finest member records the per-step
+    # columns, for diagnostics.csv and exp_energy; the other checks read the
+    # snapshots and dirichlet_v, all that the other members record.
     # The members are solved concurrently on min(members, CPUs) threads.  Each
     # task mollifies its own member and keeps only <|b_eps|^2> of its drift,
     # all that gradient_bound's c0 reads, so only drifts in flight are alive.

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._convert import integral
+from ._convert import integral, whole_steps
 
 __all__ = ["SdeConfig", "HittingStats", "simulate_hardy_sde", "sweep_configs", "delta_sweep"]
 
@@ -87,20 +87,13 @@ class SdeConfig:
             raise ValueError(f"sign must be -1 or +1, got {self.sign}")
         if math.hypot(*self.x0) <= self.r_hit:
             raise ValueError("x0 must start outside the hitting radius")
-        if self.n_steps < 1 or abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
-            raise ValueError(
-                f"t_final={self.t_final} must be a whole number of steps of dt={self.dt}"
-            )
+        self.n_steps = whole_steps(self.t_final, self.dt)
         cap = math.sqrt(self.delta) * (self.dim - 2) / 2.0 / self.r_core
         if self.dt * cap >= self.r_hit / 10.0:
             raise ValueError(
                 f"dt * (drift cap {cap:.3g}) = {self.dt * cap:.3g} must stay below "
                 f"r_hit/10 = {self.r_hit / 10:.3g}"
             )
-
-    @property
-    def n_steps(self):
-        return int(round(self.t_final / self.dt))
 
 
 @dataclass

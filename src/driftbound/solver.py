@@ -8,15 +8,15 @@ the unshifted solution; the discrete scheme commutes exactly with that
 substitution, so one shifted solve carries both solution streams.
 
 Every step records the Dirichlet integral of v, from the spectrum by
-Parseval.  A full solve (the default) also records, every step, the
-diagnostics the other inequality checks consume: norms and the cosh modular
-of both u and v, and for each even power p the exponential-weight integrands
-<exp(u^p)>, <(grad u^(p/2))^2 exp(u^p)> and <(grad exp(u^p/2))^2>.  Dense
-per-step sampling keeps the trapezoid time integrals of those terms
-accurate.  A light solve (diagnostics=False) skips them and forms the
-physical field only at the snapshots.  Full fields are stored only every
-snapshot_stride steps (plus the final time).  The Orlicz norm of u is needed
-only at the snapshots and is computed there.
+Parseval.  A full solve (the default) also records, every step, the sup
+norm, the L^p norms and the cosh modular of u for diagnostics.csv, and for
+each even power p the exponential-weight integrands <exp(u^p)>,
+<(grad u^(p/2))^2 exp(u^p)> and <(grad exp(u^p/2))^2>, whose trapezoid time
+integrals need the dense per-step sampling.  A light solve
+(diagnostics=False) skips them and forms the physical field only at the
+snapshots.  Full fields are stored only every snapshot_stride steps (plus
+the final time); the checks that hold pointwise in time (Orlicz, L^p, cosh)
+read those snapshots.
 
 A step allocates no elementwise temporaries: the advection sum, the
 RK2/Euler update, the Parseval sum and the diagnostics write with in-place
@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._convert import integral
+from ._convert import integral, whole_steps
 from .grid import ScalarField, TorusGrid, irfftn, rfftn
 from .orlicz import CHECKPOINT_NORM_TOL, orlicz_norm
 
@@ -69,10 +69,7 @@ class SolverConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_final <= 0:
             raise ValueError(f"t_final must be > 0, got {self.t_final}")
-        if self.n_steps < 1 or abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
-            raise ValueError(
-                f"t_final={self.t_final} must be a whole number of steps of dt={self.dt}"
-            )
+        self.n_steps = whole_steps(self.t_final, self.dt)
         if self.shift < 0:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
         if self.snapshot_stride < 1:
@@ -86,19 +83,15 @@ class SolverConfig:
                 raise ValueError(f"p_list entries must be even integers >= 2, got {p}")
         self.p_list = tuple(int(p) for p in self.p_list)
 
-    @property
-    def n_steps(self):
-        return int(round(self.t_final / self.dt))
-
 
 @dataclass
 class Trajectory:
     """Solution snapshots plus per-step diagnostics.
 
     snapshots hold the solved variable v; the unshifted solution at snapshot
-    i is exp(shift * t_i) * v_i.  diag maps column names to per-step arrays;
-    u-based columns carry the ``_u`` suffix, v-based the ``_v`` suffix.  A
-    light solve's diag holds dirichlet_v only.
+    i is exp(shift * t_i) * v_i.  diag maps column names to per-step arrays,
+    all of u (suffix ``_u``) except the Dirichlet integral of v, dirichlet_v.
+    A light solve's diag holds dirichlet_v only.
     """
 
     grid: TorusGrid
@@ -117,10 +110,10 @@ class Trajectory:
 
     @property
     def sup_u(self):
-        return self.diag["sup_v"] * self.u_scale
+        return self.diag["sup_u"]
 
     def lp_u(self, p):
-        return self.diag[f"l{p}_v"] * self.u_scale
+        return self.diag[f"l{p}_u"]
 
     @property
     def dirichlet_u(self):
@@ -129,9 +122,6 @@ class Trajectory:
     @property
     def snapshot_times(self):
         return self.times[self.snapshot_indices]
-
-    def snapshot_v(self, i):
-        return self.snapshots[i]
 
     def snapshot_u(self, i):
         t = self.times[self.snapshot_indices[i]]
@@ -183,8 +173,8 @@ class Trajectory:
 
 
 def _diagnostic_columns(p_list):
-    cols = ["sup_v", "modular_v", "modular_u", "dirichlet_v"]
-    cols += [f"l{p}_v" for p in p_list]
+    cols = ["sup_u", "modular_u", "dirichlet_v"]
+    cols += [f"l{p}_u" for p in p_list]
     for p in p_list:
         cols += [f"exp_modular_p{p}_u", f"exp_disp_p{p}_u", f"exp_gradexp_p{p}_u"]
     return cols
@@ -366,33 +356,30 @@ def _record_diagnostics(
     h_d = grid.cell_volume
     top = max(config.p_list)
     scratch, weight, *power_buffers = buffers
-    diag["sup_v"][k] = np.abs(v_phys, out=scratch).max()
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = _even_powers(v_phys, top, power_buffers)
+        if config.shift:
+            # u = scale * v; weight holds u until the exp loop needs it
+            scale = math.exp(config.shift * t)
+            u = np.multiply(scale, v_phys, out=weight)
+        else:
+            u = v_phys
+        diag["sup_u"][k] = np.abs(u, out=scratch).max()
+        powers = _even_powers(u, top, power_buffers)
         for p in config.p_list:
-            diag[f"l{p}_v"][k] = (h_d * powers[p].sum()) ** (1.0 / p)
+            diag[f"l{p}_u"][k] = (h_d * powers[p].sum()) ** (1.0 / p)
 
         # one inverse FFT per axis: faster than one batched call at 32^3 and 64^3
         grad_sq.fill(0.0)
         for g in grid.gradient_symbols:
             component = irfftn(np.multiply(spectrum, g, out=spectral_work), grid.shape)
             grad_sq += np.multiply(component, component, out=component)
-
-        np.cosh(v_phys, out=scratch)
-        scratch -= 1.0
-        diag["modular_v"][k] = h_d * scratch.sum()
         if config.shift:
-            # from here on the powers and grad_sq are those of u = scale * v;
-            # weight holds u until the exp loop needs it
-            scale = math.exp(config.shift * t)
-            u = np.multiply(scale, v_phys, out=weight)
-            powers = _even_powers(u, top, power_buffers)
+            # |grad u|^2 from |grad v|^2
             np.multiply(scale * scale, grad_sq, out=grad_sq)
-            np.cosh(u, out=scratch)
-            scratch -= 1.0
-            diag["modular_u"][k] = h_d * scratch.sum()
-        else:
-            diag["modular_u"][k] = diag["modular_v"][k]
+
+        np.cosh(u, out=scratch)
+        scratch -= 1.0
+        diag["modular_u"][k] = h_d * scratch.sum()
         for p in config.p_list:
             exp_u = np.exp(powers[p], out=weight)
             diag[f"exp_modular_p{p}_u"][k] = h_d * exp_u.sum()

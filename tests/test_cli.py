@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from driftbound import cli
+from driftbound._convert import integral
 from driftbound.cli import DEFAULTS, REQUIRED, Experiment, load_config, main
 from driftbound.drift import DriftSpec, mollify_drift
 from driftbound.sde import SdeConfig
@@ -340,6 +341,24 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert not out.exists()
         assert f"config error: {section}" in capsys.readouterr().err
+
+    def test_integer_key_in_exponent_form(self, tmp_path):
+        # YAML reads 2e4 and 2.5e0, written without a dot or an exponent
+        # sign, as the strings '2e4' and '2.5e0'
+        cfg = tmp_path / "cfg.yaml"
+        write_config(cfg, tmp_path / "run", sde={"n_paths": "2e4"})
+        cfg.write_text(cfg.read_text().replace("'2e4'", "2e4"))
+        data = load_config(cfg)
+        assert data["sde"]["n_paths"] == "2e4"
+        base, _ = Experiment(data).sde
+        assert type(base.n_paths) is int and base.n_paths == 20000
+        data["solver"]["snapshot_stride"] = "2.5e0"
+        with pytest.raises(
+            cli.ConfigError, match="solver: snapshot_stride must be an integer, got '2.5e0'"
+        ):
+            Experiment(data)
+        # integers pass through unrounded
+        assert integral(2**70 + 1, "seed") == 2**70 + 1
 
     @pytest.mark.parametrize("subcommand", ["verify", "sde"])
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, subcommand):

@@ -185,20 +185,19 @@ class TestInvariants:
             )
             traj = solve(b_eps, f, cfg)
             for i, k in enumerate(traj.snapshot_indices):
-                v = traj.snapshot_v(i).values
+                v = traj.snapshots[i].values
                 spectrum = rfftn(v)
                 grad_sq = sum(irfftn(spectrum * g, grid.shape) ** 2 for g in grid.gradient_symbols)
                 scale = math.exp(shift * traj.times[k])
                 u, u_grad_sq = scale * v, scale**2 * grad_sq
                 want = {
-                    "sup_v": np.abs(v).max(),
+                    "sup_u": np.abs(u).max(),
                     "dirichlet_v": h_d * grad_sq.sum(),
-                    "modular_v": h_d * (np.cosh(v) - 1.0).sum(),
                     "modular_u": h_d * (np.cosh(u) - 1.0).sum(),
                 }
                 for p in cfg.p_list:
                     exp_u = np.exp(u**p)
-                    want[f"l{p}_v"] = (h_d * (np.abs(v) ** p).sum()) ** (1.0 / p)
+                    want[f"l{p}_u"] = (h_d * (np.abs(u) ** p).sum()) ** (1.0 / p)
                     want[f"exp_modular_p{p}_u"] = h_d * exp_u.sum()
                     want[f"exp_disp_p{p}_u"] = h_d * (
                         (p * p / 4.0) * u ** (p - 2) * u_grad_sq * exp_u
@@ -253,7 +252,7 @@ class TestLightSolve:
     def test_csv_of_a_light_trajectory_names_the_missing_columns(self, tmp_path, grid1d):
         cfg = SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=5)
         light = solve(constant_drift(grid1d), sin_mode(grid1d), cfg, diagnostics=False)
-        with pytest.raises(ValueError, match=r"lacks \['sup_v', 'modular_v', 'modular_u', 'l2_v'"):
+        with pytest.raises(ValueError, match=r"lacks \['sup_u', 'modular_u', 'l2_u'"):
             light.to_csv(tmp_path / "diag.csv")
         assert not (tmp_path / "diag.csv").exists()
 
@@ -334,25 +333,19 @@ def textbook_solve(b_smooth, f, config):
         with np.errstate(over="ignore"):
             weighted = dirichlet_root * spectrum
             row = {"dirichlet_v": (weighted.real**2 + weighted.imag**2).sum()}
-        row["sup_v"] = np.abs(v).max()
         with np.errstate(over="ignore", invalid="ignore"):
-            v_pow = even_powers(v)
+            scale = math.exp(config.shift * t)
+            u = scale * v if config.shift else v
+            row["sup_u"] = np.abs(u).max()
+            u_pow = even_powers(u)
             for p in config.p_list:
-                row[f"l{p}_v"] = (h_d * v_pow[p].sum()) ** (1.0 / p)
+                row[f"l{p}_u"] = (h_d * u_pow[p].sum()) ** (1.0 / p)
             grad_sq = np.zeros(grid.shape)
             for g in grid.gradient_symbols:
                 component = irfftn(spectrum * g, grid.shape)
                 grad_sq += component * component
-            row["modular_v"] = h_d * (np.cosh(v) - 1.0).sum()
-            if config.shift:
-                scale = math.exp(config.shift * t)
-                u = scale * v
-                u_pow = even_powers(u)
-                u_grad_sq = scale * scale * grad_sq
-                row["modular_u"] = h_d * (np.cosh(u) - 1.0).sum()
-            else:
-                u_pow, u_grad_sq = v_pow, grad_sq
-                row["modular_u"] = row["modular_v"]
+            u_grad_sq = scale * scale * grad_sq if config.shift else grad_sq
+            row["modular_u"] = h_d * (np.cosh(u) - 1.0).sum()
             for p in config.p_list:
                 exp_u = np.exp(u_pow[p])
                 row[f"exp_modular_p{p}_u"] = h_d * exp_u.sum()
@@ -455,7 +448,7 @@ class TestErrors:
         assert traj.aborted
         assert "non-finite" in traj.abort_message
         assert len(traj.times) < 2001
-        assert np.all(np.isfinite(traj.diag["sup_v"]))
+        assert np.all(np.isfinite(traj.diag["sup_u"]))
 
     def test_mismatched_grids_rejected(self, grid1d):
         other = TorusGrid(1, 32)

@@ -19,6 +19,7 @@ from driftbound import (
     check_gradient_bound,
     check_lp_contraction,
     check_orlicz_contraction,
+    lp_norm,
     lp_threshold,
     mollify_drift,
     render_reports,
@@ -128,6 +129,17 @@ class TestLpContraction:
         )
         report = check_lp_contraction(traj, 2, 1.0, c1, tol_rel=SINGULAR_TOL)
         assert report.passed
+
+    def test_values_are_the_snapshot_norms_of_u(self, grid1d):
+        # one source of values, also for a p whose norm the full solve
+        # records every step: the L^p norms of the unshifted snapshots
+        b = build_drift(DriftSpec(kind="constant", vector=(0.5,)), grid1d)
+        cfg = SolverConfig(dt=1e-3, t_final=0.1, shift=1.5, snapshot_stride=10, p_list=(2, 4))
+        traj = solve(b, cos_datum(grid1d), cfg)
+        report = check_lp_contraction(traj, 4, 2.0, 1.0)
+        want = [lp_norm(traj.snapshot_u(i), 4) for i in range(len(traj.snapshots))]
+        assert report.lhs.tolist() == want
+
 
 class TestCoshEnergy:
     def test_zero_datum(self, grid1d):
