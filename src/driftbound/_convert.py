@@ -8,8 +8,11 @@ def integral(value, name):
 
     int() alone truncates, so a config's 5.9 would silently run as 5, and it
     rejects '2e4', which is how YAML reads 2e4 written without a dot.  Integer
-    values pass through int() unrounded, so large seeds stay exact.
+    values pass through int() unrounded, so large seeds stay exact.  A bool
+    is rejected: YAML reads true as one, which would pass as the integer 1.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if isinstance(value, Integral):
         return int(value)
     try:

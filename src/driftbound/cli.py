@@ -85,7 +85,7 @@ TEMPLATE = """\
 # required or demo; sde.seed (null -> experiment.seed) and sde.sign (-1) are not shown.
 
 experiment:
-  seed: 0                     # master seed: trials, estimator noise, SDE
+  seed: 0                     # master seed: form-bound start noise; SDE when sde.seed is null
   output_dir: runs/demo       # artifacts land here; manifest.json lists them
   tolerance_tier: singular    # singular (5e-2) | analytic (1e-6) slack floor
 
@@ -462,10 +462,10 @@ class Experiment:
 
 def pipeline_norm(exp):
     f = exp.build_initial()
-    result = orlicz_norm(f)
+    norm = orlicz_norm(f)
     payload = {
-        "orlicz": result.value,
-        "modular_at_norm": result.modular_at_value,
+        "orlicz": norm,
+        "modular_at_norm": modular(f, norm) if norm else 0.0,
         "modular_at_1": modular(f, 1.0),
         "l1": lp_norm(f, 1),
         "l2": lp_norm(f, 2),

@@ -212,9 +212,6 @@ class VectorField:
     def max_magnitude(self):
         return float(np.sqrt(self.magnitude_squared().max()))
 
-    def copy(self):
-        return VectorField(self.grid, tuple(c.copy() for c in self.components))
-
 
 def integrate(f):
     """Quadrature integral <f> = h^dim * sum f(x_j).

@@ -7,8 +7,8 @@ bisection on a bracket that is valid for every nonzero field:
   there;
 * upper end ||f||_inf / arcosh(2), where the integrand is at most 1 pointwise.
 
-The reported value is the feasible (upper) endpoint, so the modular at the
-returned norm never exceeds 1 and downstream inequality checks stay
+orlicz_norm returns the feasible (upper) endpoint as a float, so the modular
+at the returned norm never exceeds 1 and downstream inequality checks stay
 conservative.  Modular overflow saturates to +inf, which bisection treats as
 "greater than 1".
 """
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import lp_norm
 
-__all__ = ["ACOSH2", "CHECKPOINT_NORM_TOL", "phi", "modular", "orlicz_norm", "OrliczNorm"]
+__all__ = ["ACOSH2", "CHECKPOINT_NORM_TOL", "phi", "modular", "orlicz_norm"]
 
 # arcosh(2) = ln(2 + sqrt(3)); the constant field a has norm a / ACOSH2.
 ACOSH2 = math.acosh(2.0)
@@ -60,38 +59,25 @@ def modular(f, c):
     return f.grid.cell_volume * float(total)
 
 
-@dataclass
-class OrliczNorm:
-    """Luxemburg norm result.
-
-    value is 0 exactly when the field vanishes; otherwise the modular at
-    value sits just below 1 (within the bisection tolerance).
-    """
-
-    value: float
-    bracket: tuple
-    modular_at_value: float
-    iterations: int = 0
-
-
 def orlicz_norm(f, tol=1e-10):
-    """Luxemburg norm of f by bisection; returns the feasible endpoint.
+    """Luxemburg norm of f by bisection: the feasible endpoint, as a float.
 
+    0.0 exactly when f vanishes; otherwise the modular there is at most 1.
     Terminates when the bracket satisfies hi - lo < tol * hi.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     sup = lp_norm(f, np.inf)
     if sup == 0.0:
-        return OrliczNorm(0.0, (0.0, 0.0), 0.0, 0)
+        return 0.0
     lo = lp_norm(f, 2) / 2.0
     hi = sup / ACOSH2
-    iterations = 0
-    while hi - lo >= tol * hi and iterations < _MAX_BISECTIONS:
+    for _ in range(_MAX_BISECTIONS):
+        if hi - lo < tol * hi:
+            break
         mid = 0.5 * (lo + hi)
         if modular(f, mid) > 1.0:
             lo = mid
         else:
             hi = mid
-        iterations += 1
-    return OrliczNorm(hi, (lo, hi), modular(f, hi), iterations)
+    return hi

@@ -8,9 +8,10 @@ the unshifted solution; the discrete scheme commutes exactly with that
 substitution, so one shifted solve carries both solution streams.
 
 Every step records the Dirichlet integral of v, from the spectrum by
-Parseval.  A full solve (the default) also records, every step, the sup
-norm, the L^p norms and the cosh modular of u for diagnostics.csv, and for
-each even power p the exponential-weight integrands <exp(u^p)>,
+Parseval.  A full solve (the default) also forms u = exp(shift t) v at
+every shift and records every step the sup norm, one L^p norm per entry of
+p_list and the cosh modular of u for diagnostics.csv, and for each even
+power p the exponential-weight integrands <exp(u^p)>,
 <(grad u^(p/2))^2 exp(u^p)> and <(grad exp(u^p/2))^2>, whose trapezoid time
 integrals need the dense per-step sampling.  A light solve
 (diagnostics=False) skips them and forms the physical field only at the
@@ -67,6 +68,8 @@ class SolverConfig:
         self.cfl_safety = float(self.cfl_safety)
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not self.cfl_safety > 0:
+            raise ValueError(f"cfl_safety must be > 0, got {self.cfl_safety}")
         if self.t_final <= 0:
             raise ValueError(f"t_final must be > 0, got {self.t_final}")
         self.n_steps = whole_steps(self.t_final, self.dt)
@@ -105,19 +108,8 @@ class Trajectory:
     abort_message: str = ""
 
     @property
-    def u_scale(self):
-        return np.exp(self.shift * self.times)
-
-    @property
-    def sup_u(self):
-        return self.diag["sup_u"]
-
-    def lp_u(self, p):
-        return self.diag[f"l{p}_u"]
-
-    @property
     def dirichlet_u(self):
-        return self.diag["dirichlet_v"] * self.u_scale**2
+        return self.diag["dirichlet_v"] * np.exp(self.shift * self.times) ** 2
 
     @property
     def snapshot_times(self):
@@ -132,7 +124,7 @@ class Trajectory:
         """Orlicz norm of u at each snapshot, computed on first use only."""
         return np.array(
             [
-                orlicz_norm(self.snapshot_u(i), tol=CHECKPOINT_NORM_TOL).value
+                orlicz_norm(self.snapshot_u(i), tol=CHECKPOINT_NORM_TOL)
                 for i in range(len(self.snapshots))
             ]
         )
@@ -140,8 +132,10 @@ class Trajectory:
     def to_csv(self, path):
         """Stream per-step diagnostics of the unshifted solution u.
 
-        The orlicz column holds the snapshot norms and nan on other rows.
-        Raises ValueError for a light trajectory, which lacks the columns.
+        Columns: t, sup, one l{p} per entry of p_list, orlicz, modular,
+        dirichlet, then exp_modular, exp_disp and exp_gradexp per p.  The
+        orlicz column holds the snapshot norms and nan on other rows.  Raises
+        ValueError for a light trajectory, which lacks the columns.
         """
         missing = [name for name in _diagnostic_columns(self.p_list) if name not in self.diag]
         if missing:
@@ -151,12 +145,11 @@ class Trajectory:
             )
         orlicz = np.full_like(self.times, np.nan)
         orlicz[self.snapshot_indices] = self.snapshot_orlicz
-        columns = ["t", "sup", "l2", "l4", "orlicz", "modular", "dirichlet"]
+        columns = ["t", "sup", *(f"l{p}" for p in self.p_list), "orlicz", "modular", "dirichlet"]
         series = [
             self.times,
-            self.sup_u,
-            self.lp_u(2) if 2 in self.p_list else np.full_like(self.times, np.nan),
-            self.lp_u(4) if 4 in self.p_list else np.full_like(self.times, np.nan),
+            self.diag["sup_u"],
+            *(self.diag[f"l{p}_u"] for p in self.p_list),
             orlicz,
             self.diag["modular_u"],
             self.dirichlet_u,
@@ -357,12 +350,10 @@ def _record_diagnostics(
     top = max(config.p_list)
     scratch, weight, *power_buffers = buffers
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.shift:
-            # u = scale * v; weight holds u until the exp loop needs it
-            scale = math.exp(config.shift * t)
-            u = np.multiply(scale, v_phys, out=weight)
-        else:
-            u = v_phys
+        # u = scale * v; weight holds u until the exp loop needs it.  At shift
+        # 0 the scale is exactly 1.0, so u is bitwise v.
+        scale = math.exp(config.shift * t)
+        u = np.multiply(scale, v_phys, out=weight)
         diag["sup_u"][k] = np.abs(u, out=scratch).max()
         powers = _even_powers(u, top, power_buffers)
         for p in config.p_list:
@@ -373,9 +364,8 @@ def _record_diagnostics(
         for g in grid.gradient_symbols:
             component = irfftn(np.multiply(spectrum, g, out=spectral_work), grid.shape)
             grad_sq += np.multiply(component, component, out=component)
-        if config.shift:
-            # |grad u|^2 from |grad v|^2
-            np.multiply(scale * scale, grad_sq, out=grad_sq)
+        # |grad u|^2 from |grad v|^2
+        np.multiply(scale * scale, grad_sq, out=grad_sq)
 
         np.cosh(u, out=scratch)
         scratch -= 1.0

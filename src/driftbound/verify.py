@@ -40,6 +40,11 @@ __all__ = [
 ANALYTIC_TOL = 1e-6
 SINGULAR_TOL = 5e-2
 
+# the Cauchy check's least decay ratio per level, and the gap below which a
+# level counts as converged
+CAUCHY_MIN_RATIO = 1.5
+CAUCHY_NEGLIGIBLE = 1e-9
+
 
 @dataclass
 class VerificationReport:
@@ -365,26 +370,20 @@ def refinement_study(check_factory, levels):
 
 def _orlicz_distance(field_a, field_b):
     diff = ScalarField(field_a.grid, field_a.values - field_b.values)
-    return orlicz_norm(diff, tol=CHECKPOINT_NORM_TOL).value
+    return orlicz_norm(diff, tol=CHECKPOINT_NORM_TOL)
 
 
-def check_cauchy_convergence(
-    trajs_a,
-    trajs_b,
-    tol_rel=ANALYTIC_TOL,
-    min_ratio=1.5,
-    negligible=1e-9,
-):
+def check_cauchy_convergence(trajs_a, trajs_b, tol_rel=ANALYTIC_TOL):
     """Convergence and schedule independence of the mollified solutions.
 
     trajs_a and trajs_b are the solves of one datum under the members of two
     mollification schedules, each ordered coarse to fine and sharing one set
     of checkpoint times.  For each schedule it forms D(i, i+1) = sup over
     checkpoints of ||u_i(t) - u_(i+1)(t)||_Phi between consecutive members.
-    Passes when the D sequence of schedule A decays by at least min_ratio
-    per level (levels below ``negligible`` count as converged) and the
-    finest members of the two schedules agree within the last
-    intra-schedule gap.
+    Passes when the D sequence of schedule A decays by at least
+    CAUCHY_MIN_RATIO per level (levels below CAUCHY_NEGLIGIBLE count as
+    converged) and the finest members of the two schedules agree within the
+    last intra-schedule gap.
     """
     for trajs in (trajs_a, trajs_b):
         if len(trajs) < 2:
@@ -407,16 +406,16 @@ def check_cauchy_convergence(
     decay_ok = True
     ratios = []
     for coarse, fine in zip(gaps_a, gaps_a[1:]):
-        if coarse <= negligible and fine <= negligible:
+        if coarse <= CAUCHY_NEGLIGIBLE and fine <= CAUCHY_NEGLIGIBLE:
             ratios.append(math.inf)
             continue
         ratio = coarse / fine if fine > 0 else math.inf
         ratios.append(ratio)
-        if ratio < min_ratio:
+        if ratio < CAUCHY_MIN_RATIO:
             decay_ok = False
 
     cross = sup_distance(trajs_a[-1], trajs_b[-1])
-    cross_budget = max(gaps_a[-1], gaps_b[-1], negligible)
+    cross_budget = max(gaps_a[-1], gaps_b[-1], CAUCHY_NEGLIGIBLE)
     cross_ok = cross <= cross_budget * (1.0 + tol_rel)
 
     times = np.array([float(len(gaps_a))])
@@ -431,7 +430,7 @@ def check_cauchy_convergence(
             "gaps_a": gaps_a,
             "gaps_b": gaps_b,
             "decay_ratios": ratios,
-            "min_ratio": min_ratio,
+            "min_ratio": CAUCHY_MIN_RATIO,
             "cross_gap": cross,
             "decay_ok": decay_ok,
             "cross_ok": cross_ok,

@@ -108,13 +108,13 @@ def test_criterion_01_orlicz_norm_engine():
     grid = TorusGrid(2, 32)
     worst_rel = 0.0
     for a in (0.3, 1.0, 7.5):
-        value = orlicz_norm(ScalarField.full(grid, a)).value
+        value = orlicz_norm(ScalarField.full(grid, a))
         worst_rel = max(worst_rel, abs(value - a / math.log(2 + math.sqrt(3))) / a)
     violations = 0
     rng = np.random.default_rng(7)
     for _ in range(100):
         f = random_band_limited(grid, rng, amplitude=rng.uniform(0.2, 5.0))
-        norm = orlicz_norm(f).value
+        norm = orlicz_norm(f)
         for p in (1, 2, 3):
             if norm < lp_norm(f, 2 * p) / math.factorial(2 * p) - 1e-12:
                 violations += 1
@@ -203,7 +203,7 @@ def test_criterion_04_solver_accuracy_and_max_principle():
     exact = math.exp(-4 * math.pi**2 * 0.1) * np.sin(2 * np.pi * (x - 0.1))
     max_err = float(np.abs(traj.snapshots[-1].values - exact).max())
     runs.append(solve(VectorField.zeros(grid), f, config))
-    sup_ok = all(run.sup_u.max() <= 1.0 + 1e-10 for run in runs)
+    sup_ok = all(run.diag["sup_u"].max() <= 1.0 + 1e-10 for run in runs)
     elapsed = time.time() - t0
     ok = max_err <= 1e-8 and sup_ok and elapsed < budget
     report(

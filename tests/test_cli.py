@@ -330,6 +330,10 @@ class TestVerify:
             ("experiment", {"seed": 0.5}),
             ("sde", {"seed": 2.5}),
             ("sde", {"n_paths": 999.9}),
+            ("sde", {"n_paths": True}),  # YAML's true is not the integer 1
+            ("solver", {"snapshot_stride": True}),
+            ("solver", {"cfl_safety": 0}),
+            ("solver", {"cfl_safety": -0.5}),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):

@@ -85,14 +85,14 @@ class TestInvariants:
         for shift in (0.0, 2.0):
             cfg = SolverConfig(dt=2e-4, t_final=0.05, shift=shift, snapshot_stride=50)
             traj = solve(constant_drift(grid1d, 0.8), f, cfg)
-            assert traj.sup_u.max() <= 1.0 + 1e-10
+            assert traj.diag["sup_u"].max() <= 1.0 + 1e-10
 
     def test_constant_datum_is_stationary(self, grid2d):
         f = ScalarField.full(grid2d, 0.4)
         cfg = SolverConfig(dt=1e-3, t_final=0.05, snapshot_stride=10)
         traj = solve(constant_drift(grid2d, 0.3), f, cfg)
         assert np.abs(traj.snapshots[-1].values - 0.4).max() < 1e-13
-        assert traj.sup_u.max() <= 0.4 + 1e-12
+        assert traj.diag["sup_u"].max() <= 0.4 + 1e-12
 
     def test_energy_identity_pure_diffusion(self, grid1d):
         # d/dt <u^2> = -2 <|grad u|^2> discretely to O(dt^2)
@@ -101,7 +101,7 @@ class TestInvariants:
         for dt in (2e-3, 1e-3):
             cfg = SolverConfig(dt=dt, t_final=0.02, snapshot_stride=10**6)
             traj = solve(VectorField.zeros(grid1d), f, cfg)
-            mass = traj.lp_u(2) ** 2
+            mass = traj.diag["l2_u"] ** 2
             rate = (mass[2:] - mass[:-2]) / (2 * dt)
             gaps.append(np.abs(rate + 2 * traj.dirichlet_u[1:-1]).max())
         assert gaps[0] / gaps[1] > 3.0
@@ -131,8 +131,8 @@ class TestInvariants:
             cfg = SolverConfig(dt=1e-3, t_final=0.05, snapshot_stride=50)
             traj = solve(b_eps, f, cfg)
             terminal[n] = (
-                traj.sup_u[-1],
-                traj.lp_u(2)[-1],
+                traj.diag["sup_u"][-1],
+                traj.diag["l2_u"][-1],
                 traj.diag["modular_u"][-1],
                 traj.dirichlet_u[-1],
             )
@@ -163,9 +163,6 @@ class TestInvariants:
         for name in direct.diag:
             if name.endswith("_u"):
                 close(shifted.diag[name], direct.diag[name])
-        close(shifted.sup_u, direct.sup_u)
-        for p in direct.p_list:
-            close(shifted.lp_u(p), direct.lp_u(p))
         close(shifted.dirichlet_u, direct.dirichlet_u)
         assert shifted.snapshot_indices == direct.snapshot_indices
         for i in range(len(direct.snapshots)):
@@ -499,7 +496,7 @@ def test_orlicz_norm_once_per_snapshot(monkeypatch, tmp_path, grid1d):
     traj = solve(constant_drift(grid1d), sin_mode(grid1d), cfg)
     assert calls == []
     want = [
-        orlicz_norm(traj.snapshot_u(i), tol=CHECKPOINT_NORM_TOL).value
+        orlicz_norm(traj.snapshot_u(i), tol=CHECKPOINT_NORM_TOL)
         for i in range(len(traj.snapshots))
     ]
     traj.to_csv(tmp_path / "diag.csv")
@@ -521,3 +518,22 @@ def test_csv_orlicz_column_is_the_checked_norm(tmp_path, grid1d):
     assert np.array_equal(column[traj.snapshot_indices], lhs)
     others = np.setdiff1d(np.arange(len(rows)), traj.snapshot_indices)
     assert np.all(np.isnan(column[others]))
+
+
+@pytest.mark.parametrize("p_list", [(2,), (2, 4), (2, 4, 6)])
+def test_csv_writes_one_lp_column_per_power(tmp_path, grid1d, p_list):
+    cfg = SolverConfig(dt=1e-3, t_final=0.01, shift=1.5, snapshot_stride=5, p_list=p_list)
+    traj = solve(constant_drift(grid1d), sin_mode(grid1d), cfg)
+    path = tmp_path / "diag.csv"
+    traj.to_csv(path)
+    header, *rows = path.read_text().splitlines()[1:]
+    exp_columns = [
+        f"{stem}_p{p}" for p in p_list for stem in ("exp_modular", "exp_disp", "exp_gradexp")
+    ]
+    lp_columns = [f"l{p}" for p in p_list]
+    assert header.split(",") == [
+        "t", "sup", *lp_columns, "orlicz", "modular", "dirichlet", *exp_columns
+    ]
+    table = np.array([[float(x) for x in row.split(",")] for row in rows])
+    for j, p in enumerate(p_list):
+        assert np.array_equal(table[:, 2 + j], traj.diag[f"l{p}_u"])
