@@ -24,6 +24,21 @@ def integral(value, name):
     return int(number)
 
 
+def real(value, name):
+    """``value`` as a float (0.5, 5 and '5e-4' pass); else ValueError naming ``name``.
+
+    The float counterpart of integral: YAML reads 5e-4 written without a dot
+    as a string, which float() converts, and reads true as a bool, which
+    float() would take as 1.0, so a bool is rejected.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def whole_steps(t_final, dt):
     """The number of steps of dt in t_final; ValueError unless it is whole and >= 1."""
     n_steps = int(round(t_final / dt))

@@ -44,7 +44,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from ._convert import integral
+from ._convert import integral, real
 from .drift import (
     DriftSpec,
     build_drift,
@@ -230,7 +230,7 @@ def _checking(name):
 
 
 def _schedule(cfg, key):
-    schedule = [float(e) for e in cfg[key]]
+    schedule = [real(e, key) for e in cfg[key]]
     if not schedule or schedule[-1] <= 0 or any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError(
             f"mollification.{key} must be strictly decreasing and positive: {schedule}"
@@ -307,8 +307,9 @@ class Experiment:
         with _checking("formbound"):
             self.formbound = fb = _section(data, "formbound")
             if fb["c_values"] is not None:
-                fb["c_values"] = [float(c) for c in fb["c_values"]]
-            fb["max_iter"], fb["rq_tol"] = integral(fb["max_iter"], "max_iter"), float(fb["rq_tol"])
+                fb["c_values"] = [real(c, "c_values") for c in fb["c_values"]]
+            fb["max_iter"] = integral(fb["max_iter"], "max_iter")
+            fb["rq_tol"] = real(fb["rq_tol"], "rq_tol")
             if fb["max_iter"] < 1 or not fb["rq_tol"] > 0 or fb["c_values"] == []:
                 raise ConfigError(
                     f"formbound needs max_iter >= 1, rq_tol > 0 and c_values != [], got "
@@ -319,7 +320,7 @@ class Experiment:
         with _checking("solver"):
             solver = _section(data, "solver")
             # None for auto: check_parameters sets c_delta / sqrt(delta)
-            self.shift = None if solver["shift"] == "auto" else float(solver["shift"])
+            self.shift = None if solver["shift"] == "auto" else real(solver["shift"], "shift")
             self.solver = SolverConfig(**{**solver, "shift": self.shift or 0.0})
 
         with _checking("verifier"):
@@ -336,11 +337,11 @@ class Experiment:
             delta = verifier["delta"]
             if delta == "auto":
                 delta = self.drift_spec.delta if self.drift_spec.kind == "hardy" else 4.0
-            self.delta = float(delta)
+            self.delta = real(delta, "delta")
             if not self.delta > 0:
                 raise ConfigError(f"verifier.delta must be > 0, got {verifier['delta']}")
             c_delta = verifier["c_delta"]
-            self.c_delta = None if c_delta == "auto" else float(c_delta)
+            self.c_delta = None if c_delta == "auto" else real(c_delta, "c_delta")
             if self.c_delta is not None and not self.c_delta >= 0:
                 raise ConfigError(f"verifier.c_delta must be >= 0, got {c_delta}")
             # None skips lp_contraction: its threshold 2/(2 - sqrt(delta)) needs
@@ -349,7 +350,7 @@ class Experiment:
             if "lp_contraction" in self.inequalities and self.delta < 4.0:
                 threshold = lp_threshold(self.delta)
                 p = verifier["lp_p"]
-                self.lp_p = max(2, 2 * math.ceil(threshold / 2)) if p == "auto" else float(p)
+                self.lp_p = max(2, 2 * math.ceil(threshold / 2)) if p == "auto" else real(p, "lp_p")
                 if self.lp_p < threshold - 1e-12:
                     raise ConfigError(
                         f"verifier.lp_p={p} is below the threshold 2/(2 - sqrt(delta)) = "
@@ -373,7 +374,7 @@ class Experiment:
         base = SdeConfig(**{**cfg, "seed": seed})
         if base.seed < 0:
             raise ConfigError(f"sde.seed must be >= 0, got {base.seed}")
-        deltas = [base.delta] if deltas is None else [float(d) for d in deltas]
+        deltas = [base.delta] if deltas is None else [real(d, "deltas") for d in deltas]
         # validates every swept config, so a bad delta is a config error
         sweep_configs(base, deltas)
         return base, deltas
@@ -391,7 +392,7 @@ class Experiment:
         if kind == "constant":
             if cfg["value"] is None:
                 raise ConfigError("initial.value is required for a constant datum")
-            return ScalarField.full(self.grid, float(cfg["value"]))
+            return ScalarField.full(self.grid, real(cfg["value"], "value"))
         if kind == "file":
             if cfg["path"] is None:
                 raise ConfigError("initial.path is required for a file datum")
@@ -476,7 +477,8 @@ def pipeline_norm(exp):
     return True
 
 
-def pipeline_formbound(exp, b):
+def _form_bound_sweep(exp, b):
+    """(<|b|^2>, the form-bound certificates of drift b at the formbound budgets)."""
     mean_sq = exp.grid.cell_volume * float(b.magnitude_squared().sum())
     c_values = exp.formbound["c_values"]
     if c_values is None:
@@ -488,6 +490,13 @@ def pipeline_formbound(exp, b):
         rq_tol=exp.formbound["rq_tol"],
         seed=exp.seed,
     )
+    return mean_sq, certs
+
+
+def pipeline_formbound(exp, sweep):
+    """Write certificates.json from a _form_bound_sweep; True iff every
+    certificate is feasible and converged."""
+    mean_sq, certs = sweep
     payload = {
         "mean_square_drift": mean_sq,
         "certificates": [c.to_json() for c in certs],
@@ -576,58 +585,66 @@ def pipeline_verify(exp):
         reasons = "; ".join(f"{name}: {why}" for name, why in skipped.items())
         raise ConfigError(f"verifier.inequalities: no selected check can run ({reasons})")
 
-    delta, c_delta, config = exp.check_parameters(b)
-    certified = pipeline_formbound(exp, b)
     # schedule B is solved only for the Cauchy check; every member of A and B
     # is solved exactly once.  Only the finest member records the per-step
     # columns, for diagnostics.csv and exp_energy; the other checks read the
     # snapshots and dirichlet_v, all that the other members record.
-    # The members are solved concurrently on min(members, CPUs) threads.  Each
-    # task mollifies its own member and keeps only <|b_eps|^2> of its drift,
-    # all that gradient_bound's c0 reads, so only drifts in flight are alive.
-    # Each solve is sequential on its own buffers, so no byte depends on the
-    # thread count or timing.  The finest, the costliest solve, is submitted
-    # first; results are gathered in schedule order, so the first error raised
-    # and every output byte are the serial loop's.
+    # One pool of min(members, CPUs) threads runs the delta_hat sweep beside
+    # c(delta), which the calling thread computes, then the member solves,
+    # then the Cauchy check's distances.  Each member task mollifies its own
+    # member and keeps only <|b_eps|^2> of its drift, all that
+    # gradient_bound's c0 reads, so only drifts in flight are alive.  Each
+    # task is sequential on its own buffers, so no byte depends on the thread
+    # count or timing.  The finest, the costliest solve, is submitted first;
+    # certificates.json is written before any solve result is read, and the
+    # results are read in schedule order, so the files written, the first
+    # error raised and every output byte are the serial run's.
     schedule = members + (exp.schedule_b if run_cauchy else [])
     finest_index = len(members) - 1
-
-    def solve_member(i):
-        b_eps = mollify_drift(b, schedule[i])
-        mean_square = exp.grid.cell_volume * float(b_eps.magnitude_squared().sum())
-        return solve(b_eps, f, config, diagnostics=i == finest_index), mean_square
-
     pool = ThreadPoolExecutor(min(len(schedule), os.cpu_count() or 1))
     try:
+        sweep = pool.submit(_form_bound_sweep, exp, b)
+        delta, c_delta, config = exp.check_parameters(b)
+
+        def solve_member(i):
+            b_eps = mollify_drift(b, schedule[i])
+            mean_square = exp.grid.cell_volume * float(b_eps.magnitude_squared().sum())
+            return solve(b_eps, f, config, diagnostics=i == finest_index), mean_square
+
         order = sorted(range(len(schedule)), key=lambda i: i != finest_index)
         futures = {i: pool.submit(solve_member, i) for i in order}
+        certified = pipeline_formbound(exp, sweep.result())
         solved, mean_squares = zip(*(futures[i].result() for i in range(len(schedule))))
+        for traj, eps in zip(solved, schedule):
+            if traj.aborted:
+                raise RuntimeError(f"solve aborted for eps={eps}: {traj.abort_message}")
+        trajs, trajs_b = solved[: len(members)], solved[len(members) :]
+        finest = trajs[-1]
+        finest.to_csv(exp.artifact("diagnostics.csv"))
+
+        reports = []
+        if "orlicz_contraction" in selected:
+            reports.append(check_orlicz_contraction(finest, delta, c_delta, tol_rel=exp.tol_rel))
+        if exp.lp_p is not None:
+            reports.append(
+                check_lp_contraction(finest, exp.lp_p, delta, c_delta, tol_rel=exp.tol_rel)
+            )
+        if "cosh_energy" in selected:
+            reports.append(check_cosh_energy(finest, delta, c_delta, tol_rel=exp.tol_rel))
+        if "exp_energy" in selected:
+            # the exponential-weight columns track the unshifted solution u,
+            # which the shifted solve carries exactly, so no separate shift-0 solve
+            for p in config.p_list:
+                reports.append(check_exp_energy(finest, p, delta, c_delta, tol_rel=exp.tol_rel))
+        if "gradient_bound" in selected:
+            c0 = config.t_final * max(mean_squares[: len(members)])
+            reports.append(check_gradient_bound(trajs, f, c0, tol_rel=exp.tol_rel))
+        if run_cauchy:
+            reports.append(
+                check_cauchy_convergence(trajs, trajs_b, tol_rel=exp.tol_rel, map=pool.map)
+            )
     finally:
         pool.shutdown(cancel_futures=True)
-    for traj, eps in zip(solved, schedule):
-        if traj.aborted:
-            raise RuntimeError(f"solve aborted for eps={eps}: {traj.abort_message}")
-    trajs, trajs_b = solved[: len(members)], solved[len(members) :]
-    finest = trajs[-1]
-    finest.to_csv(exp.artifact("diagnostics.csv"))
-
-    reports = []
-    if "orlicz_contraction" in selected:
-        reports.append(check_orlicz_contraction(finest, delta, c_delta, tol_rel=exp.tol_rel))
-    if exp.lp_p is not None:
-        reports.append(check_lp_contraction(finest, exp.lp_p, delta, c_delta, tol_rel=exp.tol_rel))
-    if "cosh_energy" in selected:
-        reports.append(check_cosh_energy(finest, delta, c_delta, tol_rel=exp.tol_rel))
-    if "exp_energy" in selected:
-        # the exponential-weight columns track the unshifted solution u, which
-        # the shifted solve carries exactly, so no separate shift-0 solve
-        for p in config.p_list:
-            reports.append(check_exp_energy(finest, p, delta, c_delta, tol_rel=exp.tol_rel))
-    if "gradient_bound" in selected:
-        c0 = config.t_final * max(mean_squares[: len(members)])
-        reports.append(check_gradient_bound(trajs, f, c0, tol_rel=exp.tol_rel))
-    if run_cauchy:
-        reports.append(check_cauchy_convergence(trajs, trajs_b, tol_rel=exp.tol_rel))
 
     exp.emit_json("reports.json", {"reports": [r.to_json() for r in reports]})
     exp.artifact("reports.txt").write_text(render_reports(reports) + "\n")
@@ -661,7 +678,7 @@ def pipeline_sde(exp):
 
 PIPELINES = {
     "norm": pipeline_norm,
-    "formbound": lambda exp: pipeline_formbound(exp, exp.build_drift()),
+    "formbound": lambda exp: pipeline_formbound(exp, _form_bound_sweep(exp, exp.build_drift())),
     "mollify": pipeline_mollify,
     "solve": pipeline_solve,
     "verify": pipeline_verify,

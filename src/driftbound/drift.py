@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._convert import integral
+from ._convert import integral, real
 from .grid import (
     ScalarField,
     VectorField,
@@ -72,9 +72,10 @@ class DriftSpec:
 
     def __post_init__(self):
         """Convert the numeric fields (YAML reads 1e-1 as a string), then validate."""
-        self.delta, self.sign = float(self.delta), integral(self.sign, "sign")
-        self.cutoff_radius = float(self.cutoff_radius)
-        self.core_radius = None if self.core_radius is None else float(self.core_radius)
+        self.delta, self.sign = real(self.delta, "delta"), integral(self.sign, "sign")
+        self.cutoff_radius = real(self.cutoff_radius, "cutoff_radius")
+        if self.core_radius is not None:
+            self.core_radius = real(self.core_radius, "core_radius")
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}; expected one of {DRIFT_KINDS}")
         if not 0.0 < self.cutoff_radius < 0.5:
@@ -110,7 +111,7 @@ def _smooth_cutoff(r, inner, outer):
 def build_drift(spec, grid):
     """Realize a DriftSpec on a grid."""
     if spec.kind == "constant":
-        vec = tuple(float(v) for v in spec.vector)
+        vec = tuple(real(v, "vector") for v in spec.vector)
         if len(vec) != grid.dim:
             raise ValueError(f"constant vector has {len(vec)} entries for dim {grid.dim}")
         return VectorField(grid, tuple(ScalarField.full(grid, v) for v in vec))

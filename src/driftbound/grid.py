@@ -4,6 +4,14 @@ All fields live on a uniform n**dim grid over [-1/2, 1/2)**dim with unit
 total volume, so the quadrature weights h**dim sum exactly to 1.  Derivatives,
 the Laplacian and the heat semigroup are Fourier multipliers; differentiation
 zeroes the Nyquist mode so that real input yields real output.
+
+scipy.fft is imported by the first FFT, not with this module, so a command
+that makes no FFT (sde, norm, init) never loads it.  verify makes its first
+FFTs on two threads at once: the delta_hat sweep runs on its pool beside
+c(delta) on the calling thread, and the member solves and the Cauchy check's
+distances run on the same pool.  The import lock lets one thread import
+scipy.fft while the other waits, and a grid's cached symbols may be built by
+both; they are deterministic, so either copy is bitwise the same.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
+
+from ._convert import real
 
 __all__ = [
     "TorusGrid",
@@ -40,10 +49,14 @@ def _workers(size):
 
 
 def rfftn(values):
+    import scipy.fft  # after the first FFT, a sys.modules lookup
+
     return scipy.fft.rfftn(values, workers=_workers(values.size))
 
 
 def irfftn(spectrum, shape):
+    import scipy.fft
+
     return scipy.fft.irfftn(spectrum, s=shape, workers=_workers(math.prod(shape)))
 
 
@@ -271,7 +284,7 @@ def trig_series(grid, terms):
         if len(wavevector) != grid.dim:
             raise ValueError(f"wavevector {wavevector} has wrong length for dim {grid.dim}")
         phase = sum(2.0 * np.pi * k * x for k, x in zip(wavevector, grid.coordinates))
-        values += float(amplitude) * np.cos(phase)
+        values += real(amplitude, "amplitude") * np.cos(phase)
     return ScalarField(grid, values)
 
 

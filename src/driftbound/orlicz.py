@@ -54,9 +54,12 @@ def modular(f, c):
     """
     if c <= 0:
         raise ValueError(f"scale c must be > 0, got {c}")
+    # one temporary, owned by this call, so concurrent calls share no buffer
+    t = f.values / c
     with np.errstate(over="ignore"):
-        total = (np.cosh(f.values / c) - 1.0).sum()
-    return f.grid.cell_volume * float(total)
+        np.cosh(t, out=t)
+    t -= 1.0
+    return f.grid.cell_volume * float(t.sum())
 
 
 def orlicz_norm(f, tol=1e-10):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._convert import integral, whole_steps
+from ._convert import integral, real, whole_steps
 
 __all__ = ["SdeConfig", "HittingStats", "simulate_hardy_sde", "sweep_configs", "delta_sweep"]
 
@@ -66,13 +66,14 @@ class SdeConfig:
         """Convert the numeric fields (YAML reads 2e-5 as a string), then validate."""
         self.dim, self.n_paths = integral(self.dim, "dim"), integral(self.n_paths, "n_paths")
         self.seed, self.sign = integral(self.seed, "seed"), integral(self.sign, "sign")
-        self.delta, self.dt = float(self.delta), float(self.dt)
-        self.t_final, self.r_hit, self.r_core = map(float, (self.t_final, self.r_hit, self.r_core))
+        self.delta, self.dt = real(self.delta, "delta"), real(self.dt, "dt")
+        self.t_final, self.r_hit = real(self.t_final, "t_final"), real(self.r_hit, "r_hit")
+        self.r_core = real(self.r_core, "r_core")
         if self.dim < 3:
             raise ValueError(f"dim must be >= 3, got {self.dim}")
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
-        self.x0 = tuple(float(v) for v in self.x0)
+        self.x0 = tuple(real(v, "x0") for v in self.x0)
         if len(self.x0) != self.dim:
             raise ValueError(f"x0 has {len(self.x0)} coordinates for dim {self.dim}")
         if self.t_final <= 0 or self.dt <= 0:
@@ -280,7 +281,7 @@ def simulate_hardy_sde(config):
 
 def sweep_configs(base, deltas):
     """One validated SdeConfig per delta, equal to base in every other field."""
-    return [replace(base, delta=float(delta)) for delta in deltas]
+    return [replace(base, delta=delta) for delta in deltas]
 
 
 def delta_sweep(base, deltas):

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._convert import integral, whole_steps
+from ._convert import integral, real, whole_steps
 from .grid import ScalarField, TorusGrid, irfftn, rfftn
 from .orlicz import CHECKPOINT_NORM_TOL, orlicz_norm
 
@@ -63,9 +63,9 @@ class SolverConfig:
 
     def __post_init__(self):
         """Convert the numeric fields (YAML reads 5e-4 as a string), then validate."""
-        self.dt, self.t_final, self.shift = float(self.dt), float(self.t_final), float(self.shift)
+        self.dt, self.t_final = real(self.dt, "dt"), real(self.t_final, "t_final")
+        self.shift, self.cfl_safety = real(self.shift, "shift"), real(self.cfl_safety, "cfl_safety")
         self.snapshot_stride = integral(self.snapshot_stride, "snapshot_stride")
-        self.cfl_safety = float(self.cfl_safety)
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not self.cfl_safety > 0:

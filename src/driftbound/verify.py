@@ -373,7 +373,7 @@ def _orlicz_distance(field_a, field_b):
     return orlicz_norm(diff, tol=CHECKPOINT_NORM_TOL)
 
 
-def check_cauchy_convergence(trajs_a, trajs_b, tol_rel=ANALYTIC_TOL):
+def check_cauchy_convergence(trajs_a, trajs_b, tol_rel=ANALYTIC_TOL, map=map):
     """Convergence and schedule independence of the mollified solutions.
 
     trajs_a and trajs_b are the solves of one datum under the members of two
@@ -383,7 +383,9 @@ def check_cauchy_convergence(trajs_a, trajs_b, tol_rel=ANALYTIC_TOL):
     Passes when the D sequence of schedule A decays by at least
     CAUCHY_MIN_RATIO per level (levels below CAUCHY_NEGLIGIBLE count as
     converged) and the finest members of the two schedules agree within the
-    last intra-schedule gap.
+    last intra-schedule gap.  The (pair, checkpoint) distances are
+    independent and are evaluated through ``map``, which may be an executor's;
+    it returns them in order, so the report does not depend on it.
     """
     for trajs in (trajs_a, trajs_b):
         if len(trajs) < 2:
@@ -394,14 +396,16 @@ def check_cauchy_convergence(trajs_a, trajs_b, tol_rel=ANALYTIC_TOL):
         if not np.array_equal(traj.snapshot_times, checkpoints):
             raise ValueError("trajectories do not share checkpoint times")
 
-    def sup_distance(first, second):
-        return max(
-            _orlicz_distance(first.snapshot_u(i), second.snapshot_u(i))
-            for i in range(len(checkpoints))
-        )
+    def distance(task):
+        first, second, i = task
+        return _orlicz_distance(first.snapshot_u(i), second.snapshot_u(i))
 
-    gaps_a = [sup_distance(first, second) for first, second in zip(trajs_a, trajs_a[1:])]
-    gaps_b = [sup_distance(first, second) for first, second in zip(trajs_b, trajs_b[1:])]
+    # consecutive members of A, then of B, then the two finest members
+    pairs = [*zip(trajs_a, trajs_a[1:]), *zip(trajs_b, trajs_b[1:]), (trajs_a[-1], trajs_b[-1])]
+    m = len(checkpoints)
+    distances = list(map(distance, [(a, b, i) for a, b in pairs for i in range(m)]))
+    sups = [max(distances[k * m : (k + 1) * m]) for k in range(len(pairs))]
+    gaps_a, gaps_b, cross = sups[: len(trajs_a) - 1], sups[len(trajs_a) - 1 : -1], sups[-1]
 
     decay_ok = True
     ratios = []
@@ -414,7 +418,6 @@ def check_cauchy_convergence(trajs_a, trajs_b, tol_rel=ANALYTIC_TOL):
         if ratio < CAUCHY_MIN_RATIO:
             decay_ok = False
 
-    cross = sup_distance(trajs_a[-1], trajs_b[-1])
     cross_budget = max(gaps_a[-1], gaps_b[-1], CAUCHY_NEGLIGIBLE)
     cross_ok = cross <= cross_budget * (1.0 + tol_rel)
 

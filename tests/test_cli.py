@@ -11,7 +11,7 @@ import yaml
 from driftbound import cli
 from driftbound._convert import integral
 from driftbound.cli import DEFAULTS, REQUIRED, Experiment, load_config, main
-from driftbound.drift import DriftSpec, mollify_drift
+from driftbound.drift import DriftSpec, form_bound_estimate, mollify_drift
 from driftbound.sde import SdeConfig
 from driftbound.solver import SolverConfig, solve
 
@@ -237,8 +237,30 @@ class TestVerify:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         assert main(["verify", "--config", str(cfg), "--output", str(tmp_path / "late")]) == 0
         assert finished == [False, False, False, True]
-        for name in ("reports.json", "certificates.json", "diagnostics.csv"):
-            assert (tmp_path / "late" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+        # the delta_hat sweep, submitted before every member, waits until all
+        # four members have been solved, so that it finishes last
+        solved = []
+        all_solved = threading.Event()
+
+        def counting(b, f, config, diagnostics=True):
+            traj = solve(b, f, config, diagnostics=diagnostics)
+            solved.append(diagnostics)
+            if len(solved) == 4:
+                all_solved.set()
+            return traj
+
+        def sweep_last(*args, **kwargs):
+            assert all_solved.wait(timeout=120)
+            return form_bound_estimate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", counting)
+        monkeypatch.setattr(cli, "form_bound_estimate", sweep_last)
+        assert main(["verify", "--config", str(cfg), "--output", str(tmp_path / "sweep")]) == 0
+        assert len(solved) == 4
+        for run in ("late", "sweep"):
+            for name in ("reports.json", "certificates.json", "diagnostics.csv"):
+                assert (tmp_path / run / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_first_violation_in_schedule_order_ends_the_run(self, tmp_path, capsys):
         # dt = 0.015 breaks CFL for every member finer than eps = 1e-2.  The
@@ -266,6 +288,24 @@ class TestVerify:
         assert messages[0] in err and messages[1] not in err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == messages[0]
+        # the certificates come before any member's result, as in a serial run
+        assert (out / "certificates.json").exists()
+
+    def test_failed_c_delta_writes_no_certificates(self, tmp_path, capsys, monkeypatch):
+        # c(delta) fails on the calling thread while the delta_hat sweep runs
+        # on the pool; the run ends with no certificates.json, as a serial one
+        def failing(b, delta):
+            raise RuntimeError("eigen-solve did not converge")
+
+        monkeypatch.setattr(cli, "zeroth_order_constant", failing)
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out)
+        assert main(["verify", "--config", str(cfg)]) == 3
+        assert "runtime error: eigen-solve did not converge" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == 3 and manifest["artifacts"] == {}
+        assert not (out / "certificates.json").exists()
 
     @pytest.mark.parametrize("subcommand", ["formbound", "verify"])
     def test_unconverged_certificates_fail(self, tmp_path, capsys, subcommand):
@@ -334,6 +374,28 @@ class TestVerify:
             ("solver", {"snapshot_stride": True}),
             ("solver", {"cfl_safety": 0}),
             ("solver", {"cfl_safety": -0.5}),
+            # YAML's true is not the number 1.0 either
+            ("solver", {"t_final": True}),
+            ("solver", {"dt": True}),
+            ("solver", {"shift": True}),
+            ("solver", {"cfl_safety": True}),
+            ("drift", {"delta": True}),
+            ("drift", {"cutoff_radius": True}),
+            ("drift", {"core_radius": True}),
+            ("drift", {"kind": "constant", "vector": [0.5, 0.0, True]}),
+            ("formbound", {"rq_tol": True}),
+            ("formbound", {"c_values": [2.0, True]}),
+            ("verifier", {"delta": True}),
+            ("verifier", {"c_delta": True}),
+            ("verifier", {"delta": 2.0, "lp_p": True}),
+            ("mollification", {"schedule": [True, 1e-3]}),
+            ("initial", {"kind": "constant", "value": True}),
+            ("initial", {"terms": [[True, [1, 0, 0]]]}),
+            ("sde", {"delta": True}),
+            ("sde", {"deltas": [0.5, True]}),
+            ("sde", {"t_final": True}),
+            ("sde", {"r_hit": True}),
+            ("sde", {"x0": [0.45, 0.0, True]}),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):
@@ -344,7 +406,12 @@ class TestVerify:
         write_config(cfg, out, **{"drift": edit.pop("drift", {}), section: edit})
         assert main(["verify", "--config", str(cfg)]) == 2
         assert not out.exists()
-        assert f"config error: {section}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {section}" in err
+        # a YAML boolean is named by the key that holds it
+        for key, value in edit.items():
+            if any(v is True for v in (value if isinstance(value, list) else [value])):
+                assert f"{key} must be" in err, err
 
     def test_integer_key_in_exponent_form(self, tmp_path):
         # YAML reads 2e4 and 2.5e0, written without a dot or an exponent

@@ -306,6 +306,40 @@ def test_eigen_engine_does_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+# Runs sde and norm, then verify, on a 16^3 config in one fresh process.  sde
+# and norm make no FFT and must leave scipy.fft unloaded; verify then makes
+# its first FFT on a pool thread (the delta_hat sweep) and on the calling
+# thread (c(delta)) at once, so both may reach the import together.
+FFT_IMPORT_PROBE = """
+import sys
+from driftbound import cli
+data = {
+    "grid": {"dim": 3, "n": 16},
+    "drift": {"kind": "hardy", "delta": 4.0, "sign": -1, "core_radius": 0.125},
+    "mollification": {"schedule": [1e-2, 2.5e-3]},
+    "solver": {"dt": 1e-3, "t_final": 0.02, "snapshot_stride": 5},
+    "sde": {"n_paths": 1000, "dt": 1e-4, "deltas": [0.5, 36.0]},
+}
+for name in ("sde", "norm"):
+    assert cli.run(name, data, output_dir=sys.argv[1]) == 0, name
+    assert "scipy.fft" not in sys.modules, name
+assert cli.run("verify", data, output_dir=sys.argv[1]) == 0
+assert "scipy.fft" in sys.modules
+"""
+
+
+def test_scipy_fft_loads_on_the_first_fft(tmp_path):
+    src = str(Path(driftbound.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", FFT_IMPORT_PROBE, str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+
+
 class TestVerifyFormBound:
     def test_zero_drift_never_violates(self, grid2d, rng):
         b = VectorField.zeros(grid2d)

@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -352,6 +355,26 @@ class TestCauchyConvergence:
         assert report.notes["decay_ok"], report.notes["decay_ratios"]
         assert report.notes["cross_ok"]
         assert report.passed
+
+    def test_distances_on_a_pool_give_the_serial_report(self):
+        # the pool may finish the (pair, checkpoint) distances in any order;
+        # map returns them in order, so the report is the serial one, bit for bit
+        grid = TorusGrid(3, 16)
+        b = build_drift(DriftSpec(kind="hardy", delta=4.0, sign=-1, core_radius=0.125), grid)
+        f = cos_datum(grid)
+        cfg = SolverConfig(dt=1e-3, t_final=0.02, snapshot_stride=5)
+        trajs_a = solve_schedule(b, [1e-2, 5e-3, 2.5e-3], f, cfg)
+        trajs_b = solve_schedule(b, [5e-3, 1.25e-3], f, cfg)
+        serial = check_cauchy_convergence(trajs_a, trajs_b).to_json()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as finely as the interpreter allows
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                pooled = check_cauchy_convergence(trajs_a, trajs_b, map=pool.map).to_json()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(set(serial["notes"]["gaps_a"])) == 2
+        assert json.dumps(pooled) == json.dumps(serial)
 
     def test_rejects_nondecreasing_schedule(self):
         # schedule order is validated where the schedules are configured
