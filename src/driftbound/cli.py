@@ -14,8 +14,9 @@ One YAML config file describes an experiment; subcommands run slices of it:
     sde        hitting-probability sweep of the radial SDE probe
     all        verify + sde
 
-Every config key and its default live in DEFAULTS, and a config error
-(exit 2) is raised before any file is written.  Every other run, a runtime
+Every config key and its default live in DEFAULTS, which takes the drift,
+solver and sde defaults from their dataclasses, and a config error (exit 2)
+is raised before any file is written.  Every other run, a runtime
 failure (exit 3) included, writes a manifest.json listing each file the run
 wrote with its sha256 digest, the exit status, the config digest, tool
 version and timestamps; a failure to write outputs is a runtime failure too.
@@ -52,7 +53,7 @@ from .drift import (
     mollify_drift,
     zeroth_order_constant,
 )
-from .grid import ScalarField, TorusGrid, lp_norm, read_field, trig_series, write_field
+from .grid import TorusGrid, build_field, lp_norm, write_field
 from .orlicz import modular, orlicz_norm
 from .sde import SdeConfig, delta_sweep, sweep_configs
 from .solver import SolverConfig, solve
@@ -152,43 +153,45 @@ class ConfigError(ValueError):
     """Configuration problem with a dotted field path for context."""
 
 
-# marks a DEFAULTS key that every config must set
-REQUIRED = object()
+# marks a DEFAULTS key that every config must set, like a field without a default
+REQUIRED = dataclasses.MISSING
+
+
+def _fields(cls, **overrides):
+    """The DEFAULTS section of dataclass cls: its fields and their defaults,
+    with ``overrides`` where the config's default differs."""
+    return {**{f.name: f.default for f in dataclasses.fields(cls)}, **overrides}
+
 
 # The config schema: every key and its default; any other key is a config
 # error.  The drift, solver and sde sections (sde less deltas) go whole to
-# DriftSpec, SolverConfig and SdeConfig, whose fields and defaults a test ties
-# to these, solver.shift's auto aside.  None marks a value that is optional
-# or derived: the drift's vector, components and path, and the initial value
-# and path, are read only by their kind; core_radius defaults to two grid
-# spacings, schedule_b to half of each schedule entry, c_values to
-# [1.2, 2, 4, 8] * <|b|^2>, initial.terms to one cosine along the first axis,
-# sde.deltas to [sde.delta] and sde.seed to experiment.seed.  formbound.rq_tol
-# is the relative eigen-residual ||A psi - rho psi|| / |rho| a form-bound
-# certificate must reach to count as converged, and formbound.max_iter caps
-# its operator applications.
+# DriftSpec, SolverConfig and SdeConfig, so their keys and defaults are those
+# classes' fields, except three the config derives: solver.shift's auto is
+# c_delta / sqrt(delta), sde.seed's null is experiment.seed and sde.deltas'
+# null is [sde.delta].  None marks a value that is optional or derived: the
+# drift's vector, components and path, and the initial value and path, are
+# read only by their kind; core_radius defaults to two grid spacings,
+# schedule_b to half of each schedule entry, c_values to [1.2, 2, 4, 8] *
+# <|b|^2> and initial.terms to one cosine along the first axis.
+# formbound.rq_tol is the relative eigen-residual ||A psi - rho psi|| / |rho|
+# a form-bound certificate must reach to count as converged, and
+# formbound.max_iter caps its operator applications.
 DEFAULTS = {
     "experiment": {"seed": 0, "output_dir": "runs/demo", "tolerance_tier": "singular"},
     "grid": {"dim": REQUIRED, "n": REQUIRED},
-    "drift": {
-        "kind": REQUIRED, "delta": 4.0, "sign": -1, "core_radius": None, "cutoff_radius": 0.4,
-        "vector": None, "components": None, "path": None,
-    },
+    "drift": _fields(DriftSpec),
     "mollification": {"schedule": [1.0e-2, 2.5e-3, 6.25e-4, 1.5625e-4], "schedule_b": None},
     "formbound": {"c_values": None, "max_iter": 5000, "rq_tol": 1.0e-10},
     "initial": {"kind": "trig", "terms": None, "value": None, "path": None},
-    "solver": {
-        "dt": REQUIRED, "t_final": REQUIRED, "shift": "auto", "snapshot_stride": 20,
-        "scheme": "if_rk2", "cfl_safety": 0.5, "p_list": [2, 4],
-    },
+    "solver": _fields(SolverConfig, shift="auto"),
     "verifier": {
         "inequalities": list(INEQUALITY_IDS), "delta": "auto", "c_delta": "auto", "lp_p": "auto",
     },
-    "sde": {
-        "dim": 3, "delta": 0.0, "deltas": None, "x0": [0.45, 0.0, 0.0], "t_final": 0.02,
-        "dt": 2.0e-5, "n_paths": 20000, "seed": None, "r_hit": 0.3, "r_core": 0.03, "sign": -1,
-    },
+    "sde": _fields(SdeConfig, seed=None, deltas=None),
 }
+
+# the initial key that holds each grid.build_field kind's source
+INITIAL_SOURCES = {"constant": "value", "trig": "terms", "file": "path"}
 
 
 def _section(data, name):
@@ -259,14 +262,15 @@ class Experiment:
 
     Building it reads every section through DEFAULTS, in template order, and
     checks what needs no computation: the tier, grid, schedules, form-bound
-    budgets (at least one), verifier ids (at least one) and constants.  The
-    drift, solver and sde sections are passed whole to their dataclasses,
-    which convert and validate each field; sde only when the config has it.
-    It fixes the checks' delta and L^p exponent; check_parameters adds c_delta
-    and the shift once the drift is built.  The pipelines raise their
-    remaining config errors (a drift or datum that cannot be built, a Cauchy
-    check without two schedule members, cosh_energy with an explicit shift,
-    selected checks none of which can run) before they write any file.
+    budgets (at least one), the initial kind and its source key, verifier ids
+    (at least one) and constants.  The drift, solver and sde sections are
+    passed whole to their dataclasses, which convert and validate each field;
+    sde only when the config has it.  It fixes the checks' delta and L^p
+    exponent; check_parameters adds c_delta and the shift once the drift is
+    built.  The pipelines raise their remaining config errors (a drift or
+    datum that cannot be built, a Cauchy check without two schedule members,
+    cosh_energy with an explicit shift, selected checks none of which can
+    run) before they write any file.
     """
 
     def __init__(self, data, output_dir=None, seed=None, tier=None):
@@ -315,7 +319,14 @@ class Experiment:
                     f"formbound needs max_iter >= 1, rq_tol > 0 and c_values != [], got "
                     f"max_iter={fb['max_iter']}, rq_tol={fb['rq_tol']}, c_values={fb['c_values']}"
                 )
-        self.initial_cfg = _section(data, "initial")
+        with _checking("initial"):
+            self.initial_cfg = initial = _section(data, "initial")
+            kind = initial["kind"]
+            name = INITIAL_SOURCES.get(kind)
+            if name is None:
+                raise ConfigError(f"initial.kind must be constant|trig|file, got {kind!r}")
+            if name != "terms" and initial[name] is None:  # terms alone has a default
+                raise ConfigError(f"initial.{name} is required for a {kind} datum")
 
         with _checking("solver"):
             solver = _section(data, "solver")
@@ -387,25 +398,12 @@ class Experiment:
 
     @_checking("initial")
     def build_initial(self):
-        cfg = self.initial_cfg
-        kind = cfg["kind"]
-        if kind == "constant":
-            if cfg["value"] is None:
-                raise ConfigError("initial.value is required for a constant datum")
-            return ScalarField.full(self.grid, real(cfg["value"], "value"))
-        if kind == "file":
-            if cfg["path"] is None:
-                raise ConfigError("initial.path is required for a file datum")
-            field = read_field(cfg["path"])
-            if not isinstance(field, ScalarField) or field.grid != self.grid:
-                raise ConfigError("initial.path must hold a scalar field on the run grid")
-            return field
-        if kind != "trig":
-            raise ConfigError(f"initial.kind must be trig|constant|file, got {kind!r}")
-        terms = cfg["terms"]
-        if terms is None:
-            terms = [[0.5, [1] + [0] * (self.grid.dim - 1)]]
-        return trig_series(self.grid, terms)
+        kind = self.initial_cfg["kind"]
+        name = INITIAL_SOURCES[kind]
+        source = self.initial_cfg[name]
+        if source is None:
+            source = [[0.5, [1] + [0] * (self.grid.dim - 1)]]
+        return build_field(self.grid, kind, source, name)
 
     def check_parameters(self, b):
         """(delta, c_delta, SolverConfig) for the solves and checks on drift b.
@@ -556,7 +554,9 @@ def pipeline_solve(exp):
             "final_time": float(traj.times[-1]),
         },
     )
-    return not traj.aborted
+    if traj.aborted:
+        raise RuntimeError(f"solve aborted for eps={exp.schedule[-1]}: {traj.abort_message}")
+    return True
 
 
 def pipeline_verify(exp):

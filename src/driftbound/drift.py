@@ -27,12 +27,11 @@ from ._convert import integral, real
 from .grid import (
     ScalarField,
     VectorField,
+    build_field,
     gradient,
     heat_semigroup,
     irfftn,
-    read_field,
     rfftn,
-    trig_series,
 )
 
 __all__ = [
@@ -45,7 +44,9 @@ __all__ = [
     "verify_form_bound",
 ]
 
-DRIFT_KINDS = ("hardy", "constant", "trig", "file")
+# the DriftSpec field that holds each grid.build_field kind's source
+DRIFT_SOURCES = {"constant": "vector", "trig": "components", "file": "path"}
+DRIFT_KINDS = ("hardy", *DRIFT_SOURCES)
 
 
 @dataclass
@@ -87,12 +88,8 @@ class DriftSpec:
                 raise ValueError(f"sign must be +1 or -1, got {self.sign}")
             if self.core_radius is not None and self.core_radius < 0:
                 raise ValueError(f"core_radius must be >= 0, got {self.core_radius}")
-        if self.kind == "constant" and self.vector is None:
-            raise ValueError("constant drift needs a vector")
-        if self.kind == "trig" and self.components is None:
-            raise ValueError("trig drift needs per-component (amplitude, wavevector) lists")
-        if self.kind == "file" and self.path is None:
-            raise ValueError("file drift needs a path")
+        if self.kind != "hardy" and getattr(self, DRIFT_SOURCES[self.kind]) is None:
+            raise ValueError(f"{self.kind} drift needs {DRIFT_SOURCES[self.kind]}")
 
 
 def _smooth_cutoff(r, inner, outer):
@@ -110,29 +107,9 @@ def _smooth_cutoff(r, inner, outer):
 
 def build_drift(spec, grid):
     """Realize a DriftSpec on a grid."""
-    if spec.kind == "constant":
-        vec = tuple(real(v, "vector") for v in spec.vector)
-        if len(vec) != grid.dim:
-            raise ValueError(f"constant vector has {len(vec)} entries for dim {grid.dim}")
-        return VectorField(grid, tuple(ScalarField.full(grid, v) for v in vec))
-
-    if spec.kind == "trig":
-        if len(spec.components) != grid.dim:
-            raise ValueError(
-                f"trig drift lists {len(spec.components)} components for dim {grid.dim}"
-            )
-        return VectorField(grid, tuple(trig_series(grid, terms) for terms in spec.components))
-
-    if spec.kind == "file":
-        loaded = read_field(spec.path)
-        if not isinstance(loaded, VectorField):
-            raise ValueError(f"{spec.path} holds a scalar field, expected a vector field")
-        if loaded.grid != grid:
-            raise ValueError(
-                f"drift file grid (d={loaded.grid.dim}, n={loaded.grid.n}) does not match "
-                f"requested grid (d={grid.dim}, n={grid.n})"
-            )
-        return loaded
+    if spec.kind != "hardy":
+        name = DRIFT_SOURCES[spec.kind]
+        return build_field(grid, spec.kind, getattr(spec, name), name, vector=True)
 
     # hardy
     if grid.dim < 2:

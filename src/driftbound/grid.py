@@ -3,7 +3,8 @@
 All fields live on a uniform n**dim grid over [-1/2, 1/2)**dim with unit
 total volume, so the quadrature weights h**dim sum exactly to 1.  Derivatives,
 the Laplacian and the heat semigroup are Fourier multipliers; differentiation
-zeroes the Nyquist mode so that real input yields real output.
+zeroes the Nyquist mode so that real input yields real output.  build_field
+makes the constant, trig and file fields of the drift and the initial datum.
 
 scipy.fft is imported by the first FFT, not with this module, so a command
 that makes no FFT (sde, norm, init) never loads it.  verify makes its first
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._convert import real
+from ._convert import integral, real
 
 __all__ = [
     "TorusGrid",
@@ -36,6 +37,7 @@ __all__ = [
     "heat_semigroup",
     "lp_norm",
     "trig_series",
+    "build_field",
     "write_field",
     "read_field",
 ]
@@ -278,14 +280,38 @@ def lp_norm(f, p):
 
 
 def trig_series(grid, terms):
-    """The scalar field sum(amplitude * cos(2 pi k . x)) over (amplitude, k) terms."""
+    """The scalar field sum(amplitude * cos(2 pi k . x)) over (amplitude, k)
+    terms; each k is an integer vector, a mode of the torus."""
     values = np.zeros(grid.shape)
     for amplitude, wavevector in terms:
         if len(wavevector) != grid.dim:
             raise ValueError(f"wavevector {wavevector} has wrong length for dim {grid.dim}")
+        wavevector = [integral(k, "wavevector") for k in wavevector]
         phase = sum(2.0 * np.pi * k * x for k, x in zip(wavevector, grid.coordinates))
         values += real(amplitude, "amplitude") * np.cos(phase)
     return ScalarField(grid, values)
+
+
+def build_field(grid, kind, source, name, vector=False):
+    """The constant, trig or file field that ``source``, the value of config
+    key ``name``, describes on grid: a number, (amplitude, wavevector) terms or
+    a path.  A vector field takes one number or term list per component, or a
+    path to a vector field."""
+    if kind == "file":
+        field = read_field(source)
+        if not isinstance(field, VectorField if vector else ScalarField) or field.grid != grid:
+            raise ValueError(
+                f"{name} {source} does not match the run grid: expected a "
+                f"{'vector' if vector else 'scalar'} field with d={grid.dim}, n={grid.n}"
+            )
+        return field
+    if vector:
+        return VectorField(grid, tuple(build_field(grid, kind, s, name) for s in source))
+    if kind == "constant":
+        return ScalarField.full(grid, real(source, name))
+    if kind == "trig":
+        return trig_series(grid, source)
+    raise ValueError(f"kind must be constant|trig|file, got {kind!r}")
 
 
 _MAGIC_HEADER = struct.Struct("<qq")

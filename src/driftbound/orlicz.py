@@ -22,13 +22,10 @@ import numpy as np
 
 from .grid import lp_norm
 
-__all__ = ["ACOSH2", "CHECKPOINT_NORM_TOL", "phi", "modular", "orlicz_norm"]
+__all__ = ["ACOSH2", "phi", "modular", "orlicz_norm"]
 
 # arcosh(2) = ln(2 + sqrt(3)); the constant field a has norm a / ACOSH2.
 ACOSH2 = math.acosh(2.0)
-
-# bisection tolerance for every norm a trajectory reports at its checkpoints
-CHECKPOINT_NORM_TOL = 1e-10
 
 _MAX_BISECTIONS = 200
 
@@ -66,7 +63,8 @@ def orlicz_norm(f, tol=1e-10):
     """Luxemburg norm of f by bisection: the feasible endpoint, as a float.
 
     0.0 exactly when f vanishes; otherwise the modular there is at most 1.
-    Terminates when the bracket satisfies hi - lo < tol * hi.
+    Terminates when the bracket satisfies hi - lo < tol * hi.  The default
+    tol is the one every norm a trajectory reports at its checkpoints uses.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")

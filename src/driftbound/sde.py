@@ -7,10 +7,11 @@ Paths follow Euler-Maruyama for
 
 (sign = -1 is the attracting case of the model equation; delta = 0 recovers
 plain Brownian motion, which Euler-Maruyama samples exactly).  A path is
-absorbed when |X_k| <= r_hit; between samples, a Brownian-bridge crossing
-test against the tangent plane of the hitting sphere removes the O(sqrt(dt))
-discrete-monitoring bias that would otherwise swamp the Wilson interval of
-the hitting fraction at usable step sizes.
+absorbed when |X_k| <= r_hit; between samples, every run applies a
+Brownian-bridge crossing test against the tangent plane of the hitting
+sphere, which removes the O(sqrt(dt)) discrete-monitoring bias that would
+otherwise swamp the Wilson interval of the hitting fraction at usable step
+sizes.  SdeConfig's defaults are the config's sde defaults.
 
 Randomness is counter-based: paths are processed in fixed-size blocks, each
 with its own Philox stream keyed by (seed, block index), and noise is drawn
@@ -40,9 +41,9 @@ _BLOCK = 1 << 14
 _WILSON_Z = 1.959963984540054
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SdeConfig:
-    """Euler-Maruyama run description.
+    """Euler-Maruyama run description; every field but seed has a default.
 
     r_core caps the drift magnitude below the hitting radius, so the
     unresolvable 1/|x| blowup never contaminates the statistic; the dt
@@ -50,17 +51,16 @@ class SdeConfig:
     sign = -1 attracts paths to the origin, +1 repels them.
     """
 
-    dim: int
-    delta: float
-    x0: tuple
-    t_final: float
-    dt: float
-    n_paths: int
+    dim: int = 3
+    delta: float = 0.0
+    x0: tuple = (0.45, 0.0, 0.0)
+    t_final: float = 0.02
+    dt: float = 2.0e-5
+    n_paths: int = 20000
     seed: int
-    r_hit: float
-    r_core: float
+    r_hit: float = 0.3
+    r_core: float = 0.03
     sign: int = -1
-    bridge: bool = True
 
     def __post_init__(self):
         """Convert the numeric fields (YAML reads 2e-5 as a string), then validate."""
@@ -197,8 +197,7 @@ def _simulate(base, configs):
             rng.standard_normal(out=noise[:size])
             # the same products as scaling each gathered row
             np.multiply(noise[:size].T, noise_scale, out=noise_t[:, :size])
-            if base.bridge:
-                rng.random(out=crossing[:size])
+            rng.random(out=crossing[:size])
             for s in range(0, len(rows), _BLOCK):
                 chunk = slice(s, s + _BLOCK)
                 xc, rc, rowc = x[:, chunk], r[chunk], rows[chunk]
@@ -216,23 +215,21 @@ def _simulate(base, configs):
                 if not dt_warnings[:n_cfg].all() and max(st.max(), -st.min()) >= jump_limit / dim:
                     far = _sq_norms(st, ec, st, wc) > jump_limit * jump_limit
                     dt_warnings[which[chunk][far]] = True
-                if base.bridge:
-                    np.maximum(np.subtract(rc, r_hit, out=ac), 0.0, out=ac)
+                np.maximum(np.subtract(rc, r_hit, out=ac), 0.0, out=ac)
                 np.sqrt(_sq_norms(xc, rc, st, ec), out=rc)
                 np.less_equal(rc, r_hit, out=hc)
-                if base.bridge:
-                    # tangent-plane Brownian bridge: the normal component has
-                    # variance 2 dt, so the crossing probability from signed
-                    # distances (a, b) is exp(-a b / dt).  exp gives 0.0 below
-                    # -746, which no uniform draw undercuts, and is slow where
-                    # it underflows, so only the paths above take it
-                    np.maximum(np.subtract(rc, r_hit, out=ec), 0.0, out=ec)
-                    ec *= ac
-                    ec /= dt
-                    near = np.flatnonzero(ec < 746.0)
-                    with np.errstate(under="ignore"):
-                        p_cross = np.exp(-ec[near])
-                    hc[near[crossing[rowc[near]] < p_cross]] = True
+                # tangent-plane Brownian bridge: the normal component has
+                # variance 2 dt, so the crossing probability from signed
+                # distances (a, b) is exp(-a b / dt).  exp gives 0.0 below
+                # -746, which no uniform draw undercuts, and is slow where
+                # it underflows, so only the paths above take it
+                np.maximum(np.subtract(rc, r_hit, out=ec), 0.0, out=ec)
+                ec *= ac
+                ec /= dt
+                near = np.flatnonzero(ec < 746.0)
+                with np.errstate(under="ignore"):
+                    p_cross = np.exp(-ec[near])
+                hc[near[crossing[rowc[near]] < p_cross]] = True
                 hit = np.flatnonzero(hc)
                 if len(hit):
                     hit += s

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import ScalarField, lp_norm
-from .orlicz import CHECKPOINT_NORM_TOL, modular, orlicz_norm
+from .orlicz import modular, orlicz_norm
 
 __all__ = [
     "ANALYTIC_TOL",
@@ -370,7 +370,7 @@ def refinement_study(check_factory, levels):
 
 def _orlicz_distance(field_a, field_b):
     diff = ScalarField(field_a.grid, field_a.values - field_b.values)
-    return orlicz_norm(diff, tol=CHECKPOINT_NORM_TOL)
+    return orlicz_norm(diff)
 
 
 def check_cauchy_convergence(trajs_a, trajs_b, tol_rel=ANALYTIC_TOL, map=map):

@@ -1,19 +1,21 @@
-import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 import yaml
 
+import driftbound
 from driftbound import cli
 from driftbound._convert import integral
 from driftbound.cli import DEFAULTS, REQUIRED, Experiment, load_config, main
-from driftbound.drift import DriftSpec, form_bound_estimate, mollify_drift
-from driftbound.sde import SdeConfig
-from driftbound.solver import SolverConfig, solve
+from driftbound.drift import form_bound_estimate, mollify_drift
+from driftbound.solver import solve
 
 
 def write_config(path, output_dir, **overrides):
@@ -36,6 +38,35 @@ def write_config(path, output_dir, **overrides):
 
 
 ZERO_DRIFT = {"kind": "constant", "vector": [0.0, 0.0, 0.0]}
+
+
+def fast_drift_config(path, output_dir, **solver):
+    """A 1D constant drift of 50 far past its CFL bound, over t_final = 20.
+
+    The auto shift c_delta / sqrt(delta) is 2500 / 2 = 1250, so
+    exp(2 shift t_final) overflows; at shift 0 the solve goes non-finite at
+    step 575.
+    """
+    return write_config(
+        path,
+        output_dir,
+        grid={"dim": 1, "n": 64},
+        drift={"kind": "constant", "vector": [50.0]},
+        solver={"dt": 0.01, "t_final": 20.0, "snapshot_stride": 100, "cfl_safety": 1.0e6, **solver},
+        initial={"kind": "trig", "terms": [[0.5, [1]]]},
+    )
+
+
+def run_cli(*args):
+    """driftbound in a fresh process, so that a traceback shows on its stderr."""
+    src = str(Path(driftbound.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "driftbound.cli", *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 def zero_drift_config(path, output_dir):
@@ -73,7 +104,10 @@ class TestInit:
                 assert key in DEFAULTS[section], f"{section}.{key}"
                 default = DEFAULTS[section][key]
                 if default is not REQUIRED and default is not None:
-                    assert shown == default, f"{section}.{key}"
+                    # YAML lists show the tuple defaults p_list and x0
+                    assert shown == (list(default) if isinstance(default, tuple) else default), (
+                        f"{section}.{key}"
+                    )
 
     def test_benchmark_and_init_configs_build_an_experiment(self, tmp_path):
         # the frozen benchmark config must keep loading under any config change
@@ -94,26 +128,6 @@ class TestInit:
 
 
 class TestConfigSchema:
-    @pytest.mark.parametrize(
-        "section, cls", [("drift", DriftSpec), ("solver", SolverConfig), ("sde", SdeConfig)]
-    )
-    def test_defaults_name_the_dataclass_fields(self, section, cls):
-        # Experiment passes these sections whole to their dataclass, the sde
-        # section without its sweep list deltas; bridge is no config key
-        fields = {f.name: f.default for f in dataclasses.fields(cls)}
-        if section == "sde":
-            del fields["bridge"]
-            fields["deltas"] = dataclasses.MISSING
-        assert set(DEFAULTS[section]) == set(fields)
-        for key, default in DEFAULTS[section].items():
-            if key == "p_list":
-                default = tuple(default)
-            if (section, key) == ("solver", "shift"):
-                # auto is c_delta / sqrt(delta), which only the CLI can derive
-                assert (default, fields[key]) == ("auto", 0.0)
-            elif default not in (REQUIRED, None) and fields[key] not in (dataclasses.MISSING, None):
-                assert default == fields[key], f"{section}.{key}"
-
     def test_exponent_spelled_floats_build_the_same_experiment(self, tmp_path):
         # YAML reads a float spelled without a dot, such as 1e-1, as a string
         undotted = (
@@ -396,6 +410,11 @@ class TestVerify:
             ("sde", {"t_final": True}),
             ("sde", {"r_hit": True}),
             ("sde", {"x0": [0.45, 0.0, True]}),
+            # a trig wavevector is an integer vector, a mode of the torus
+            ("initial", {"terms": [[0.5, [1.5, 0, 0]]]}),
+            ("initial", {"terms": [[0.5, [True, 0, 0]]]}),
+            ("drift", {"kind": "trig", "components": [[[0.5, [1.5, 0, 0]]], [], []]}),
+            ("drift", {"kind": "trig", "components": [[[0.5, [True, 0, 0]]], [], []]}),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):
@@ -468,6 +487,46 @@ class TestVerify:
             err = capsys.readouterr().err
             assert f"config error: {section}: {empty} holds 0 bytes" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["formbound", "mollify", "sde"])
+    @pytest.mark.parametrize(
+        "initial", [{"kind": "bogus"}, {"kind": "constant"}], ids=["bogus", "no_value"]
+    )
+    def test_bad_initial_is_config_error(self, tmp_path, capsys, subcommand, initial):
+        # checked when the experiment is built, as the drift's kind and source
+        # are, so subcommands that never build the datum reject it too
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        data = write_config(cfg, out)
+        data["initial"] = initial
+        cfg.write_text(yaml.safe_dump(data))
+        assert main([subcommand, "--config", str(cfg)]) == 2
+        assert not out.exists()
+        assert "config error: initial" in capsys.readouterr().err
+
+    def test_overflowing_explicit_shift_is_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        fast_drift_config(cfg, out, shift=1250.0)
+        run = run_cli("solve", "--config", str(cfg))
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("config error: solver: shift=1250 over t_final=20")
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["solve", "verify"])
+    def test_overflowing_auto_shift_is_runtime_error(self, tmp_path, subcommand):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        fast_drift_config(cfg, out)
+        run = run_cli(subcommand, "--config", str(cfg))
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.startswith("runtime error: shift=1250 over t_final=20")
+        assert "Traceback" not in run.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == 3 and manifest["artifacts"] == {}
+        assert manifest["error"] == run.stderr.strip()
+        assert not (out / "certificates.json").exists()
 
     def test_explicit_shift_with_cosh_energy_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -632,6 +691,22 @@ class TestOtherPipelines:
         gaps = [row["l2_gap_to_parent"] for row in payload["schedule"]]
         assert gaps[0] > gaps[1]
         assert (out / "drift_eps_0.bin").exists()
+
+    def test_aborted_solve_is_runtime_error(self, tmp_path, capsys):
+        # the outputs are written before the abort is raised, and the
+        # manifest lists them with the error
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        fast_drift_config(cfg, out, shift=0.0)
+        assert main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: solve aborted for eps=0.0025: non-finite state")
+        payload = json.loads((out / "solve.json").read_text())
+        assert payload["aborted"] is True and "after step 575" in payload["abort_message"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == 3 and manifest["error"] == err.strip()
+        snapshots = {f"snapshot_{i:04d}.bin" for i in range(payload["snapshots"])}
+        assert set(manifest["artifacts"]) == {"solve.json", "diagnostics.csv"} | snapshots
 
     def test_solve(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -7,6 +7,7 @@ from driftbound import (
     ScalarField,
     TorusGrid,
     VectorField,
+    build_field,
     gradient,
     heat_semigroup,
     integrate,
@@ -203,3 +204,25 @@ class TestFieldIO:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="values"):
             read_field(path)
+
+
+class TestBuildField:
+    def test_scalar_file_datum(self, tmp_path, grid2d):
+        f = build_field(grid2d, "trig", [[0.5, [1, 0]]], "terms")
+        path = tmp_path / "f.bin"
+        write_field(path, f)
+        assert np.array_equal(build_field(grid2d, "file", str(path), "path").values, f.values)
+
+    def test_errors_name_the_source_key(self, tmp_path, grid2d):
+        path = tmp_path / "b.bin"
+        write_field(path, VectorField.zeros(grid2d))
+        with pytest.raises(ValueError, match="path .* expected a scalar field with d=2, n=32"):
+            build_field(grid2d, "file", str(path), "path")
+        with pytest.raises(ValueError, match="path .* expected a vector field with d=2, n=16"):
+            build_field(TorusGrid(2, 16), "file", str(path), "path", vector=True)
+        with pytest.raises(ValueError, match="expected 2 components, got 3"):
+            build_field(grid2d, "constant", [1.0, 0.0, 0.0], "vector", vector=True)
+        with pytest.raises(ValueError, match="vector must be a number, got True"):
+            build_field(grid2d, "constant", [1.0, True], "vector", vector=True)
+        with pytest.raises(ValueError, match=re.escape("kind must be constant|trig|file")):
+            build_field(grid2d, "hardy", None, "path")

@@ -66,13 +66,6 @@ class TestSimulate:
         target = brownian_ball_hitting_probability(0.45, cfg.r_hit, cfg.t_final)
         assert abs(stats.hit_fraction - target) <= stats.confidence_halfwidth
 
-    def test_discrete_monitoring_alone_is_biased_low(self):
-        # the Brownian-bridge correction exists because plain sampling
-        # misses sub-step excursions; without it the fraction drops
-        with_bridge = simulate_hardy_sde(base_config())
-        without = simulate_hardy_sde(base_config(bridge=False))
-        assert without.hit_fraction < with_bridge.hit_fraction
-
     def test_strong_attraction_hits_reliably(self):
         cfg = base_config(
             delta=100.0,
@@ -122,17 +115,11 @@ class TestSimulate:
         assert none.hit_count == 0
         assert math.isnan(none.mean_hit_time)
 
-    @pytest.mark.parametrize(
-        "bridge, hit_count, mean_hit_time",
-        [(True, 7466, 0.008792003750334853), (False, 6973, 0.009128251828481286)],
-    )
-    def test_frozen_hitting_statistics(self, bridge, hit_count, mean_hit_time):
+    def test_frozen_hitting_statistics(self):
         # values of the former one-delta-at-a-time engine; 20000 paths span two blocks
-        stats = simulate_hardy_sde(
-            base_config(delta=4.0, dt=1e-4, n_paths=20000, seed=7, bridge=bridge)
-        )
-        assert stats.hit_count == hit_count
-        assert stats.mean_hit_time == mean_hit_time
+        stats = simulate_hardy_sde(base_config(delta=4.0, dt=1e-4, n_paths=20000, seed=7))
+        assert stats.hit_count == 7466
+        assert stats.mean_hit_time == 0.008792003750334853
 
     def test_json_payload(self):
         stats = simulate_hardy_sde(base_config(n_paths=2000, dt=1e-4))
@@ -152,10 +139,9 @@ class TestDeltaSweep:
         base = base_config(n_paths=3000, dt=1e-4)
         assert delta_sweep(base, [0.0])[0] == simulate_hardy_sde(base)
 
-    @pytest.mark.parametrize("bridge", [True, False])
-    def test_members_match_single_runs(self, bridge):
+    def test_members_match_single_runs(self):
         # 17000 paths: a full block and a partial one
-        params = dict(dt=1e-4, n_paths=17000, seed=3, bridge=bridge)
+        params = dict(dt=1e-4, n_paths=17000, seed=3)
         deltas = [0.0, 0.5, 4.0, 36.0]
         sweep = delta_sweep(base_config(**params), deltas)
         for delta, member in zip(deltas, sweep):
@@ -217,10 +203,9 @@ class TestFrozenEngine:
                 frozen(4.0, 1158, 3000, 0.008815544041450778, 13),
             ),
             ({"sign": 1}, frozen(4.0, 716, 3000, 0.008629748603351957, 13)),
-            ({"bridge": False}, frozen(4.0, 1061, 3000, 0.009079641847313854, 13)),
             ({"n_paths": 1, "delta": 100.0, "seed": 5}, frozen(100.0, 1, 1, 0.0037, 5)),
         ],
-        ids=["dim4", "dim5", "dim8", "repulsive", "no_bridge", "one_path"],
+        ids=["dim4", "dim5", "dim8", "repulsive", "one_path"],
     )
     def test_single_runs(self, overrides, expected):
         assert repr(simulate_hardy_sde(battery_config(**overrides))) == expected

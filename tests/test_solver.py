@@ -17,7 +17,7 @@ from driftbound import (
 )
 from driftbound import solver as solver_module
 from driftbound.grid import irfftn, rfftn
-from driftbound.orlicz import CHECKPOINT_NORM_TOL, orlicz_norm
+from driftbound.orlicz import orlicz_norm
 from driftbound.verify import check_orlicz_contraction
 
 
@@ -487,22 +487,20 @@ def test_orlicz_norm_once_per_snapshot(monkeypatch, tmp_path, grid1d):
     # no norm per step; the CSV and the check share one computation
     calls = []
 
-    def counting(f, tol):
-        calls.append(tol)
-        return orlicz_norm(f, tol=tol)
+    def counting(f, **kwargs):
+        calls.append(kwargs)
+        return orlicz_norm(f, **kwargs)
 
     monkeypatch.setattr(solver_module, "orlicz_norm", counting)
     cfg = SolverConfig(dt=1e-3, t_final=0.02, shift=1.5, snapshot_stride=5)
     traj = solve(constant_drift(grid1d), sin_mode(grid1d), cfg)
     assert calls == []
-    want = [
-        orlicz_norm(traj.snapshot_u(i), tol=CHECKPOINT_NORM_TOL)
-        for i in range(len(traj.snapshots))
-    ]
+    want = [orlicz_norm(traj.snapshot_u(i)) for i in range(len(traj.snapshots))]
     traj.to_csv(tmp_path / "diag.csv")
     for _ in range(2):
         assert list(check_orlicz_contraction(traj, 4.0, 1.0).lhs) == want
-    assert calls == [CHECKPOINT_NORM_TOL] * len(traj.snapshots)
+    # each at orlicz_norm's default tolerance
+    assert calls == [{}] * len(traj.snapshots)
 
 
 def test_csv_orlicz_column_is_the_checked_norm(tmp_path, grid1d):
