@@ -50,6 +50,7 @@ from .drift import (
     DriftSpec,
     build_drift,
     form_bound_estimate,
+    hardy_coefficient,
     mollify_drift,
     zeroth_order_constant,
 )
@@ -86,7 +87,7 @@ TEMPLATE = """\
 # required or demo; sde.seed (null -> experiment.seed) and sde.sign (-1) are not shown.
 
 experiment:
-  seed: 0                     # master seed: form-bound start noise; SDE when sde.seed is null
+  seed: 0                     # the SDE seed when sde.seed is null
   output_dir: runs/demo       # artifacts land here; manifest.json lists them
   tolerance_tier: singular    # singular (5e-2) | analytic (1e-6) slack floor
 
@@ -138,7 +139,7 @@ verifier:
 
 sde:
   dim: 3
-  delta: 0.0                  # baseline; deltas below drive the sweep
+  delta: 0.0                  # run only when deltas is null
   deltas: [0.5, 4.0, 36.0, 100.0]   # demo; null -> [delta]
   x0: [0.45, 0.0, 0.0]
   t_final: 0.02
@@ -261,16 +262,16 @@ class Experiment:
     """Experiment state shared by the pipelines.
 
     Building it reads every section through DEFAULTS, in template order, and
-    checks what needs no computation: the tier, grid, schedules, form-bound
-    budgets (at least one), the initial kind and its source key, verifier ids
-    (at least one) and constants.  The drift, solver and sde sections are
-    passed whole to their dataclasses, which convert and validate each field;
-    sde only when the config has it.  It fixes the checks' delta and L^p
-    exponent; check_parameters adds c_delta and the shift once the drift is
-    built.  The pipelines raise their remaining config errors (a drift or
-    datum that cannot be built, a Cauchy check without two schedule members,
-    cosh_energy with an explicit shift, selected checks none of which can
-    run) before they write any file.
+    checks what needs no computation: the tier, grid, a hardy drift's grid
+    dim, schedules, form-bound budgets (at least one), the initial kind and
+    its source key, verifier ids (at least one) and constants.  The drift,
+    solver and sde sections are passed whole to their dataclasses, which
+    convert and validate each field; sde only when the config has it.  It
+    fixes the checks' delta and L^p exponent; check_parameters adds c_delta
+    and the shift once the drift is built.  The pipelines raise their
+    remaining config errors (a drift or datum that cannot be built, a Cauchy
+    check without two schedule members, cosh_energy with an explicit shift,
+    selected checks none of which can run) before they write any file.
     """
 
     def __init__(self, data, output_dir=None, seed=None, tier=None):
@@ -298,7 +299,9 @@ class Experiment:
             self.grid = TorusGrid(integral(grid["dim"], "dim"), integral(grid["n"], "n"))
 
         with _checking("drift"):
-            self.drift_spec = DriftSpec(**_section(data, "drift"))
+            self.drift_spec = spec = DriftSpec(**_section(data, "drift"))
+            if spec.kind == "hardy":  # raises on a grid of dim < 3
+                hardy_coefficient(spec.delta, self.grid.dim, spec.sign)
 
         with _checking("mollification"):
             mollification = _section(data, "mollification")
@@ -482,11 +485,7 @@ def _form_bound_sweep(exp, b):
     if c_values is None:
         c_values = [k * mean_sq for k in (1.2, 2.0, 4.0, 8.0)]
     certs = form_bound_estimate(
-        b,
-        c_values,
-        max_iter=exp.formbound["max_iter"],
-        rq_tol=exp.formbound["rq_tol"],
-        seed=exp.seed,
+        b, c_values, max_iter=exp.formbound["max_iter"], rq_tol=exp.formbound["rq_tol"]
     )
     return mean_sq, certs
 
@@ -665,15 +664,13 @@ def pipeline_sde(exp):
         mean = "nan" if math.isnan(s.mean_hit_time) else f"{s.mean_hit_time:.5f}"
         lines.append(f"{s.delta:8.2f} {s.hit_fraction:13.5f} {s.confidence_halfwidth:9.5f} {mean:>14s}")
     exp.artifact("sde.txt").write_text("\n".join(lines) + "\n")
-    fractions = [s.hit_fraction for s in results]
-    budgets = [
-        results[i].confidence_halfwidth + results[i + 1].confidence_halfwidth
-        for i in range(len(results) - 1)
-    ]
-    monotone = all(
-        fractions[i + 1] >= fractions[i] - budgets[i] for i in range(len(results) - 1)
+    # the hit fraction must grow with delta, so the files keep the config's
+    # order and the verdict reads the results in delta order
+    ranked = sorted(results, key=lambda s: s.delta)
+    return all(
+        b.hit_fraction >= a.hit_fraction - (a.confidence_halfwidth + b.confidence_halfwidth)
+        for a, b in zip(ranked, ranked[1:])
     )
-    return monotone
 
 
 PIPELINES = {

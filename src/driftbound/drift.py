@@ -37,6 +37,7 @@ from .grid import (
 __all__ = [
     "DriftSpec",
     "FormBoundCertificate",
+    "hardy_coefficient",
     "build_drift",
     "mollify_drift",
     "form_bound_estimate",
@@ -54,8 +55,8 @@ class DriftSpec:
     """Tagged drift description.
 
     kind selects the variant:
-      hardy     -- sign * sqrt(delta) * (d-2)/2 * x / max(|x|, core_radius)^2,
-                   smoothly cut off at cutoff_radius and periodized
+      hardy     -- hardy_coefficient(delta, d, sign) * x / max(|x|, core_radius)^2,
+                   smoothly cut off at cutoff_radius and periodized; d = 3 only
       constant  -- uniform field given by ``vector``
       trig      -- per-component sums of amplitude * cos(2 pi k . x) terms
       file      -- vector field loaded from ``path``
@@ -105,22 +106,27 @@ def _smooth_cutoff(r, inner, outer):
     return out
 
 
+def hardy_coefficient(delta, dim, sign):
+    """The factor of x / |x|^2 in the Hardy drift; its form bound is delta only
+    where Hardy's inequality holds, so dim < 3 raises ValueError."""
+    if dim < 3:
+        raise ValueError(f"the hardy drift needs dim >= 3, got dim {dim}")
+    return sign * math.sqrt(delta) * (dim - 2) / 2.0
+
+
 def build_drift(spec, grid):
     """Realize a DriftSpec on a grid."""
     if spec.kind != "hardy":
         name = DRIFT_SOURCES[spec.kind]
         return build_field(grid, spec.kind, getattr(spec, name), name, vector=True)
 
-    # hardy
-    if grid.dim < 2:
-        raise ValueError("hardy drift requires dim >= 2: the radial factor (d-2)/2 degenerates in 1D")
+    scale = hardy_coefficient(spec.delta, grid.dim, spec.sign)
     core = 2.0 * grid.spacing if spec.core_radius is None else spec.core_radius
     coords = grid.coordinates
     r2 = sum(np.broadcast_to(x, grid.shape) ** 2 for x in coords)
     r = np.sqrt(r2)
     capped = np.maximum(r, core)
     chi = _smooth_cutoff(r, spec.cutoff_radius / 2.0, spec.cutoff_radius)
-    scale = spec.sign * math.sqrt(spec.delta) * (grid.dim - 2) / 2.0
     radial = scale * chi / capped**2
     comps = tuple(
         ScalarField(grid, radial * np.broadcast_to(x, grid.shape)) for x in coords
@@ -219,10 +225,12 @@ def _top_eigenpair(apply, precondition, x0, tol, max_iter):
     return rho, x, residual, residual <= tol and fresh, applications
 
 
-def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0):
+def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10):
     """Estimate delta_hat(c) for each budget c with the eigen-engine.
 
-    Returns one FormBoundCertificate per entry of c_values, in order.  Budgets
+    Returns one FormBoundCertificate per entry of c_values, in order.  Every
+    eigen-solve starts from cos(2 pi x) plus noise from default_rng(0), as
+    zeroth_order_constant's does, so no certificate depends on a seed.  Budgets
     below <|b|^2> are reported infeasible.  Budgets at or above max|b|^2 give
     delta_hat = 0 exactly, with no eigen-solve and no witness.  A pair not
     confirmed within rq_tol after max_iter operator applications is returned
@@ -240,7 +248,7 @@ def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10, seed=0):
     def inverse_sqrt(phi):
         return irfftn(inv_sqrt * rfftn(phi), grid.shape)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x0 = np.broadcast_to(grid.coordinates[0], grid.shape)
     start = np.cos(2.0 * np.pi * x0) + 1e-3 * rng.standard_normal(grid.shape)
     start = irfftn(np.where(sym > 0, rfftn(start), 0.0), grid.shape)

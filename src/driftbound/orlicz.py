@@ -1,4 +1,4 @@
-"""The Orlicz function cosh - 1, its modular, and the Luxemburg norm.
+"""The modular of the Orlicz function cosh - 1, and the Luxemburg norm.
 
 The norm of f is the infimum of c > 0 with <cosh(f/c) - 1> <= 1, located by
 bisection on a bracket that is valid for every nonzero field:
@@ -16,32 +16,17 @@ conservative.  Modular overflow saturates to +inf, which bisection treats as
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .grid import lp_norm
 
-__all__ = ["ACOSH2", "phi", "modular", "orlicz_norm"]
+__all__ = ["ACOSH2", "modular", "orlicz_norm"]
 
 # arcosh(2) = ln(2 + sqrt(3)); the constant field a has norm a / ACOSH2.
 ACOSH2 = math.acosh(2.0)
 
 _MAX_BISECTIONS = 200
-
-
-def phi(y):
-    """cosh(y) - 1: even, convex, nonnegative, zero only at y = 0.
-
-    Overflow (|y| beyond ~710) saturates to +inf with a RuntimeWarning.
-    """
-    with np.errstate(over="ignore"):
-        out = np.cosh(y) - 1.0
-    if np.any(np.isinf(out)):
-        warnings.warn("cosh overflow: phi saturated to +inf", RuntimeWarning, stacklevel=2)
-    if np.isscalar(y) or np.ndim(y) == 0:
-        return float(out)
-    return out
 
 
 def modular(f, c):

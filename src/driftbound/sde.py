@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._convert import integral, real, whole_steps
+from .drift import hardy_coefficient
 
 __all__ = ["SdeConfig", "HittingStats", "simulate_hardy_sde", "sweep_configs", "delta_sweep"]
 
@@ -69,10 +70,10 @@ class SdeConfig:
         self.delta, self.dt = real(self.delta, "delta"), real(self.dt, "dt")
         self.t_final, self.r_hit = real(self.t_final, "t_final"), real(self.r_hit, "r_hit")
         self.r_core = real(self.r_core, "r_core")
-        if self.dim < 3:
-            raise ValueError(f"dim must be >= 3, got {self.dim}")
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
+        # the drift's magnitude times |x|; raises for dim < 3
+        speed = hardy_coefficient(self.delta, self.dim, 1)
         self.x0 = tuple(real(v, "x0") for v in self.x0)
         if len(self.x0) != self.dim:
             raise ValueError(f"x0 has {len(self.x0)} coordinates for dim {self.dim}")
@@ -89,7 +90,7 @@ class SdeConfig:
         if math.hypot(*self.x0) <= self.r_hit:
             raise ValueError("x0 must start outside the hitting radius")
         self.n_steps = whole_steps(self.t_final, self.dt)
-        cap = math.sqrt(self.delta) * (self.dim - 2) / 2.0 / self.r_core
+        cap = speed / self.r_core
         if self.dt * cap >= self.r_hit / 10.0:
             raise ValueError(
                 f"dt * (drift cap {cap:.3g}) = {self.dt * cap:.3g} must stay below "
@@ -168,7 +169,7 @@ def _simulate(base, configs):
     noise_scale = math.sqrt(2.0 * dt)
     jump_limit = 10.0 * r_hit
     # coeff * dt by config index; a parked path's is 0
-    coeff_dt = [c.sign * math.sqrt(c.delta) * (c.dim - 2) / 2.0 * dt for c in configs]
+    coeff_dt = [hardy_coefficient(c.delta, c.dim, c.sign) * dt for c in configs]
     coeff_dt = np.array(coeff_dt + [0.0])
     x0 = np.asarray(base.x0)
     r0 = np.sqrt(np.einsum("ij,ij->i", x0[None], x0[None]))
@@ -277,7 +278,9 @@ def simulate_hardy_sde(config):
 
 
 def sweep_configs(base, deltas):
-    """One validated SdeConfig per delta, equal to base in every other field."""
+    """One validated SdeConfig per delta (at least one), equal to base in every other field."""
+    if not deltas:
+        raise ValueError("deltas must name at least one delta")
     return [replace(base, delta=delta) for delta in deltas]
 
 

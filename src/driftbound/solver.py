@@ -98,8 +98,9 @@ class Trajectory:
     """Solution snapshots plus per-step diagnostics.
 
     snapshots hold the solved variable v; the unshifted solution at snapshot
-    i is exp(shift * t_i) * v_i.  diag maps column names to per-step arrays,
-    all of u (suffix ``_u``) except the Dirichlet integral of v, dirichlet_v.
+    i is exp(shift * t_i) * v_i.  diag maps names to per-step arrays: the
+    Dirichlet integral of v, dirichlet_v, and for a full solve every
+    diagnostics.csv column of u but t, orlicz and dirichlet, by its CSV name.
     A light solve's diag holds dirichlet_v only.
     """
 
@@ -133,12 +134,12 @@ class Trajectory:
     def to_csv(self, path):
         """Stream per-step diagnostics of the unshifted solution u.
 
-        Columns: t, sup, one l{p} per entry of p_list, orlicz, modular,
-        dirichlet, then exp_modular, exp_disp and exp_gradexp per p.  The
-        orlicz column holds the snapshot norms and nan on other rows.  Raises
-        ValueError for a light trajectory, which lacks the columns.
+        Columns: _diagnostic_columns(p_list).  The orlicz column holds the
+        snapshot norms and nan on other rows.  Raises ValueError for a light
+        trajectory, which lacks the columns.
         """
-        missing = [name for name in _diagnostic_columns(self.p_list) if name not in self.diag]
+        columns = _diagnostic_columns(self.p_list)
+        missing = [name for name in columns if name not in _DERIVED and name not in self.diag]
         if missing:
             raise ValueError(
                 f"to_csv needs the full per-step diagnostics; this trajectory lacks "
@@ -146,19 +147,8 @@ class Trajectory:
             )
         orlicz = np.full_like(self.times, np.nan)
         orlicz[self.snapshot_indices] = self.snapshot_orlicz
-        columns = ["t", "sup", *(f"l{p}" for p in self.p_list), "orlicz", "modular", "dirichlet"]
-        series = [
-            self.times,
-            self.diag["sup_u"],
-            *(self.diag[f"l{p}_u"] for p in self.p_list),
-            orlicz,
-            self.diag["modular_u"],
-            self.dirichlet_u,
-        ]
-        for p in self.p_list:
-            for stem in ("exp_modular", "exp_disp", "exp_gradexp"):
-                columns.append(f"{stem}_p{p}")
-                series.append(self.diag[f"{stem}_p{p}_u"])
+        derived = {"t": self.times, "orlicz": orlicz, "dirichlet": self.dirichlet_u}
+        series = [derived[name] if name in _DERIVED else self.diag[name] for name in columns]
         with open(path, "w") as fh:
             fh.write(f"# shift={self.shift!r} aborted={self.aborted}\n")
             fh.write(",".join(columns) + "\n")
@@ -167,11 +157,18 @@ class Trajectory:
 
 
 def _diagnostic_columns(p_list):
-    cols = ["sup_u", "modular_u", "dirichlet_v"]
-    cols += [f"l{p}_u" for p in p_list]
-    for p in p_list:
-        cols += [f"exp_modular_p{p}_u", f"exp_disp_p{p}_u", f"exp_gradexp_p{p}_u"]
-    return cols
+    """The columns of diagnostics.csv, in order: t, sup, one l{p} per entry of
+    p_list, orlicz, modular, dirichlet, then exp_modular, exp_disp and
+    exp_gradexp per p."""
+    return [
+        "t", "sup", *(f"l{p}" for p in p_list), "orlicz", "modular", "dirichlet",
+        *(f"{stem}_p{p}" for p in p_list for stem in ("exp_modular", "exp_disp", "exp_gradexp")),
+    ]
+
+
+# the CSV columns no solve records per step: the times, the snapshot norms and
+# the Dirichlet integral of u, which Trajectory forms from dirichlet_v
+_DERIVED = ("t", "orlicz", "dirichlet")
 
 
 def solve(b_smooth, f, config, diagnostics=True):
@@ -248,7 +245,9 @@ def solve(b_smooth, f, config, diagnostics=True):
         return out
 
     times = config.dt * np.arange(n_steps + 1)
-    columns = _diagnostic_columns(config.p_list) if diagnostics else ["dirichlet_v"]
+    columns = ["dirichlet_v"]
+    if diagnostics:
+        columns += [name for name in _diagnostic_columns(config.p_list) if name not in _DERIVED]
     diag = {name: np.zeros(n_steps + 1) for name in columns}
     snapshot_indices = []
     snapshots = []
@@ -355,10 +354,10 @@ def _record_diagnostics(
         # 0 the scale is exactly 1.0, so u is bitwise v.
         scale = math.exp(config.shift * t)
         u = np.multiply(scale, v_phys, out=weight)
-        diag["sup_u"][k] = np.abs(u, out=scratch).max()
+        diag["sup"][k] = np.abs(u, out=scratch).max()
         powers = _even_powers(u, top, power_buffers)
         for p in config.p_list:
-            diag[f"l{p}_u"][k] = (h_d * powers[p].sum()) ** (1.0 / p)
+            diag[f"l{p}"][k] = (h_d * powers[p].sum()) ** (1.0 / p)
 
         # one inverse FFT per axis: faster than one batched call at 32^3 and 64^3
         grad_sq.fill(0.0)
@@ -370,15 +369,15 @@ def _record_diagnostics(
 
         np.cosh(u, out=scratch)
         scratch -= 1.0
-        diag["modular_u"][k] = h_d * scratch.sum()
+        diag["modular"][k] = h_d * scratch.sum()
         for p in config.p_list:
             exp_u = np.exp(powers[p], out=weight)
-            diag[f"exp_modular_p{p}_u"][k] = h_d * exp_u.sum()
+            diag[f"exp_modular_p{p}"][k] = h_d * exp_u.sum()
             coeff = h_d * p * p / 4.0
             # (grad u^(p/2))^2 exp(u^p) = (p/2)^2 u^(p-2) |grad u|^2 exp(u^p)
             disp = np.multiply(grad_sq, exp_u, out=weight)
             if p > 2:
                 disp *= powers[p - 2]
-            diag[f"exp_disp_p{p}_u"][k] = coeff * disp.sum()
+            diag[f"exp_disp_p{p}"][k] = coeff * disp.sum()
             # (grad exp(u^p/2))^2 = (p/2)^2 u^(2p-2) |grad u|^2 exp(u^p)
-            diag[f"exp_gradexp_p{p}_u"][k] = coeff * np.multiply(powers[p], disp, out=scratch).sum()
+            diag[f"exp_gradexp_p{p}"][k] = coeff * np.multiply(powers[p], disp, out=scratch).sum()

@@ -257,9 +257,9 @@ def check_exp_energy(traj, p, delta, c_delta, tol_rel=ANALYTIC_TOL):
     if p not in traj.p_list:
         raise ValueError(f"p={p} not among the trajectory's diagnostics {traj.p_list}")
     rate = _growth_rate(delta, c_delta)
-    exp_mod = traj.diag[f"exp_modular_p{p}_u"]
-    disp = traj.diag[f"exp_disp_p{p}_u"]
-    grad_exp = traj.diag[f"exp_gradexp_p{p}_u"]
+    exp_mod = traj.diag[f"exp_modular_p{p}"]
+    disp = traj.diag[f"exp_disp_p{p}"]
+    grad_exp = traj.diag[f"exp_gradexp_p{p}"]
     if not (
         np.all(np.isfinite(exp_mod)) and np.all(np.isfinite(disp)) and np.all(np.isfinite(grad_exp))
     ):

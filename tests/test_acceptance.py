@@ -203,7 +203,7 @@ def test_criterion_04_solver_accuracy_and_max_principle():
     exact = math.exp(-4 * math.pi**2 * 0.1) * np.sin(2 * np.pi * (x - 0.1))
     max_err = float(np.abs(traj.snapshots[-1].values - exact).max())
     runs.append(solve(VectorField.zeros(grid), f, config))
-    sup_ok = all(run.diag["sup_u"].max() <= 1.0 + 1e-10 for run in runs)
+    sup_ok = all(run.diag["sup"].max() <= 1.0 + 1e-10 for run in runs)
     elapsed = time.time() - t0
     ok = max_err <= 1e-8 and sup_ok and elapsed < budget
     report(

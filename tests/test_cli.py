@@ -652,6 +652,34 @@ class TestVerify:
 
 
 class TestOtherPipelines:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("subcommand", ["verify", "formbound", "sde"])
+    def test_hardy_below_three_dims_is_config_error(self, tmp_path, capsys, subcommand, dim):
+        # its coefficient (d - 2)/2 would build b = 0 in 2D
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(
+            cfg,
+            out,
+            grid={"dim": dim, "n": 16},
+            initial={"kind": "trig", "terms": [[0.5, [1] + [0] * (dim - 1)]]},
+        )
+        assert main([subcommand, "--config", str(cfg)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: drift: the hardy drift needs dim >= 3, got dim {dim}\n"
+        )
+
+    def test_certificates_do_not_depend_on_the_seed(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        write_config(cfg, tmp_path / "ignored", experiment={"seed": 3})
+        runs = [tmp_path / "config-seed", tmp_path / "flag-seed"]
+        assert main(["formbound", "--config", str(cfg), "--output", str(runs[0])]) == 0
+        flagged = ["--output", str(runs[1]), "--seed", "11"]
+        assert main(["formbound", "--config", str(cfg), *flagged]) == 0
+        first, second = ((out / "certificates.json").read_bytes() for out in runs)
+        assert first == second
+
     def test_norm(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
@@ -727,6 +755,33 @@ class TestOtherPipelines:
         payload = json.loads((out / "sde.json").read_text())
         assert [row["delta"] for row in payload["sweep"]] == [0.5, 36.0]
 
+    def test_sde_verdict_does_not_depend_on_the_order(self, tmp_path):
+        # coupled paths; the files keep the config's order, the verdict reads
+        # the hit fractions in delta order
+        cfg = tmp_path / "cfg.yaml"
+        rows = {}
+        for deltas in ([0.5, 100.0], [100.0, 0.5]):
+            out = tmp_path / f"run-{deltas[0]}"
+            write_config(cfg, out, sde={"n_paths": 4000, "dt": 2e-5, "deltas": deltas})
+            assert main(["sde", "--config", str(cfg)]) == 0
+            sweep = json.loads((out / "sde.json").read_text())["sweep"]
+            assert [row["delta"] for row in sweep] == deltas
+            rows[deltas[0]] = sorted(sweep, key=lambda row: row["delta"])
+        assert rows[0.5] == rows[100.0]
+        assert rows[0.5][0]["hit_fraction"] < rows[0.5][1]["hit_fraction"]
+
+    def test_sde_falling_hit_fraction_fails(self, tmp_path):
+        # a repelling drift: the hit fraction falls as delta grows
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, sde={"sign": 1, "n_paths": 2000, "dt": 2e-5, "deltas": [0.5, 36.0]})
+        assert main(["sde", "--config", str(cfg)]) == 1
+        sweep = json.loads((out / "sde.json").read_text())["sweep"]
+        assert sweep[1]["hit_fraction"] + sweep[1]["ci"] < sweep[0]["hit_fraction"] - sweep[0]["ci"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == 1 and manifest["passed"] is False
+        assert set(manifest["artifacts"]) == {"sde.json", "sde.txt"}
+
     def test_sde_dt_warning_is_logged(self, tmp_path, capsys, caplog):
         # noise sqrt(2 dt) = 0.045 against a jump limit of 10 r_hit = 0.11
         cfg = tmp_path / "cfg.yaml"
@@ -771,6 +826,7 @@ class TestOtherPipelines:
             {"deltas": [0.5, -1.0]},
             {"deltas": [0.5, 1.0e6]},  # breaks the dt cap
             {"t_final": 0.02, "dt": 3e-5},  # not a whole number of steps
+            {"deltas": []},
         ],
     )
     def test_sde_bad_sweep_is_config_error(self, tmp_path, sde_edit):
@@ -778,7 +834,7 @@ class TestOtherPipelines:
         out = tmp_path / "run"
         write_config(cfg, out, sde=sde_edit)
         assert main(["sde", "--config", str(cfg)]) == 2
-        assert not (out / "sde.json").exists()
+        assert not out.exists()
 
     def test_sde_seed_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -17,6 +17,7 @@ from driftbound import (
     build_drift,
     form_bound_estimate,
     gradient,
+    hardy_coefficient,
     heat_semigroup,
     integrate,
     mollify_drift,
@@ -69,6 +70,16 @@ class TestBuildDrift:
     def test_hardy_rejected_in_1d(self, grid1d):
         with pytest.raises(ValueError, match="dim"):
             hardy(grid1d)
+
+    def test_hardy_coefficient(self):
+        assert hardy_coefficient(4.0, 3, -1) == -1.0
+        assert hardy_coefficient(2.25, 3, 1) == 0.75
+        # (d - 2)/2 is 0 in 2D, where the drift would be b = 0
+        for dim in (1, 2):
+            with pytest.raises(ValueError, match=f"needs dim >= 3, got dim {dim}"):
+                hardy_coefficient(4.0, dim, -1)
+            with pytest.raises(ValueError, match=f"needs dim >= 3, got dim {dim}"):
+                hardy(TorusGrid(dim, 8))
 
     def test_file_roundtrip_and_grid_mismatch(self, tmp_path, grid2d):
         b = build_drift(DriftSpec(kind="constant", vector=(1.0, 2.0)), grid2d)

@@ -155,6 +155,10 @@ class TestDeltaSweep:
             delta_sweep(base_config(dt=1e-3, t_final=0.02), [0.5, bad])
         assert calls == []
 
+    def test_empty_sweep_raises(self):
+        with pytest.raises(ValueError, match="at least one delta"):
+            delta_sweep(base_config(), [])
+
     def test_reversed_order_same_values(self):
         base = base_config(n_paths=3000, dt=1e-4)
         fwd = delta_sweep(base, [0.5, 4.0])

@@ -85,14 +85,14 @@ class TestInvariants:
         for shift in (0.0, 2.0):
             cfg = SolverConfig(dt=2e-4, t_final=0.05, shift=shift, snapshot_stride=50)
             traj = solve(constant_drift(grid1d, 0.8), f, cfg)
-            assert traj.diag["sup_u"].max() <= 1.0 + 1e-10
+            assert traj.diag["sup"].max() <= 1.0 + 1e-10
 
     def test_constant_datum_is_stationary(self, grid2d):
         f = ScalarField.full(grid2d, 0.4)
         cfg = SolverConfig(dt=1e-3, t_final=0.05, snapshot_stride=10)
         traj = solve(constant_drift(grid2d, 0.3), f, cfg)
         assert np.abs(traj.snapshots[-1].values - 0.4).max() < 1e-13
-        assert traj.diag["sup_u"].max() <= 0.4 + 1e-12
+        assert traj.diag["sup"].max() <= 0.4 + 1e-12
 
     def test_energy_identity_pure_diffusion(self, grid1d):
         # d/dt <u^2> = -2 <|grad u|^2> discretely to O(dt^2)
@@ -101,7 +101,7 @@ class TestInvariants:
         for dt in (2e-3, 1e-3):
             cfg = SolverConfig(dt=dt, t_final=0.02, snapshot_stride=10**6)
             traj = solve(VectorField.zeros(grid1d), f, cfg)
-            mass = traj.diag["l2_u"] ** 2
+            mass = traj.diag["l2"] ** 2
             rate = (mass[2:] - mass[:-2]) / (2 * dt)
             gaps.append(np.abs(rate + 2 * traj.dirichlet_u[1:-1]).max())
         assert gaps[0] / gaps[1] > 3.0
@@ -131,9 +131,9 @@ class TestInvariants:
             cfg = SolverConfig(dt=1e-3, t_final=0.05, snapshot_stride=50)
             traj = solve(b_eps, f, cfg)
             terminal[n] = (
-                traj.diag["sup_u"][-1],
-                traj.diag["l2_u"][-1],
-                traj.diag["modular_u"][-1],
+                traj.diag["sup"][-1],
+                traj.diag["l2"][-1],
+                traj.diag["modular"][-1],
                 traj.dirichlet_u[-1],
             )
         for coarse, fine in zip(terminal[16], terminal[32]):
@@ -161,7 +161,7 @@ class TestInvariants:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
         for name in direct.diag:
-            if name.endswith("_u"):
+            if name != "dirichlet_v":
                 close(shifted.diag[name], direct.diag[name])
         close(shifted.dirichlet_u, direct.dirichlet_u)
         assert shifted.snapshot_indices == direct.snapshot_indices
@@ -188,18 +188,18 @@ class TestInvariants:
                 scale = math.exp(shift * traj.times[k])
                 u, u_grad_sq = scale * v, scale**2 * grad_sq
                 want = {
-                    "sup_u": np.abs(u).max(),
+                    "sup": np.abs(u).max(),
                     "dirichlet_v": h_d * grad_sq.sum(),
-                    "modular_u": h_d * (np.cosh(u) - 1.0).sum(),
+                    "modular": h_d * (np.cosh(u) - 1.0).sum(),
                 }
                 for p in cfg.p_list:
                     exp_u = np.exp(u**p)
-                    want[f"l{p}_u"] = (h_d * (np.abs(u) ** p).sum()) ** (1.0 / p)
-                    want[f"exp_modular_p{p}_u"] = h_d * exp_u.sum()
-                    want[f"exp_disp_p{p}_u"] = h_d * (
+                    want[f"l{p}"] = (h_d * (np.abs(u) ** p).sum()) ** (1.0 / p)
+                    want[f"exp_modular_p{p}"] = h_d * exp_u.sum()
+                    want[f"exp_disp_p{p}"] = h_d * (
                         (p * p / 4.0) * u ** (p - 2) * u_grad_sq * exp_u
                     ).sum()
-                    want[f"exp_gradexp_p{p}_u"] = h_d * (
+                    want[f"exp_gradexp_p{p}"] = h_d * (
                         (p * p / 4.0) * u ** (2 * p - 2) * u_grad_sq * exp_u
                     ).sum()
                 assert sorted(want) == sorted(traj.diag)
@@ -249,7 +249,8 @@ class TestLightSolve:
     def test_csv_of_a_light_trajectory_names_the_missing_columns(self, tmp_path, grid1d):
         cfg = SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=5)
         light = solve(constant_drift(grid1d), sin_mode(grid1d), cfg, diagnostics=False)
-        with pytest.raises(ValueError, match=r"lacks \['sup_u', 'modular_u', 'l2_u'"):
+        missing = r"lacks \['sup', 'l2', 'l4', 'modular', 'exp_modular_p2'"
+        with pytest.raises(ValueError, match=missing):
             light.to_csv(tmp_path / "diag.csv")
         assert not (tmp_path / "diag.csv").exists()
 
@@ -333,25 +334,25 @@ def textbook_solve(b_smooth, f, config):
         with np.errstate(over="ignore", invalid="ignore"):
             scale = math.exp(config.shift * t)
             u = scale * v if config.shift else v
-            row["sup_u"] = np.abs(u).max()
+            row["sup"] = np.abs(u).max()
             u_pow = even_powers(u)
             for p in config.p_list:
-                row[f"l{p}_u"] = (h_d * u_pow[p].sum()) ** (1.0 / p)
+                row[f"l{p}"] = (h_d * u_pow[p].sum()) ** (1.0 / p)
             grad_sq = np.zeros(grid.shape)
             for g in grid.gradient_symbols:
                 component = irfftn(spectrum * g, grid.shape)
                 grad_sq += component * component
             u_grad_sq = scale * scale * grad_sq if config.shift else grad_sq
-            row["modular_u"] = h_d * (np.cosh(u) - 1.0).sum()
+            row["modular"] = h_d * (np.cosh(u) - 1.0).sum()
             for p in config.p_list:
                 exp_u = np.exp(u_pow[p])
-                row[f"exp_modular_p{p}_u"] = h_d * exp_u.sum()
+                row[f"exp_modular_p{p}"] = h_d * exp_u.sum()
                 coeff = h_d * p * p / 4.0
                 disp = u_grad_sq * exp_u
                 if p > 2:
                     disp = disp * u_pow[p - 2]
-                row[f"exp_disp_p{p}_u"] = coeff * disp.sum()
-                row[f"exp_gradexp_p{p}_u"] = coeff * (u_pow[p] * disp).sum()
+                row[f"exp_disp_p{p}"] = coeff * disp.sum()
+                row[f"exp_gradexp_p{p}"] = coeff * (u_pow[p] * disp).sum()
         return row
 
     dt, n_steps = config.dt, config.n_steps
@@ -445,7 +446,7 @@ class TestErrors:
         assert traj.aborted
         assert "non-finite" in traj.abort_message
         assert len(traj.times) < 2001
-        assert np.all(np.isfinite(traj.diag["sup_u"]))
+        assert np.all(np.isfinite(traj.diag["sup"]))
 
     def test_mismatched_grids_rejected(self, grid1d):
         other = TorusGrid(1, 32)
@@ -532,6 +533,9 @@ def test_csv_writes_one_lp_column_per_power(tmp_path, grid1d, p_list):
     assert header.split(",") == [
         "t", "sup", *lp_columns, "orlicz", "modular", "dirichlet", *exp_columns
     ]
+    # the per-step keys are the CSV names; t, orlicz and dirichlet are formed
+    # from the times, the snapshots and dirichlet_v
+    assert set(traj.diag) == {"sup", *lp_columns, "modular", *exp_columns, "dirichlet_v"}
     table = np.array([[float(x) for x in row.split(",")] for row in rows])
     for j, p in enumerate(p_list):
-        assert np.array_equal(table[:, 2 + j], traj.diag[f"l{p}_u"])
+        assert np.array_equal(table[:, 2 + j], traj.diag[f"l{p}"])

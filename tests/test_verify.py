@@ -228,8 +228,8 @@ class TestExpEnergy:
     def test_integrand_columns_are_nonnegative(self, hardy_setup):
         traj = hardy_setup["plain"]
         for p in traj.p_list:
-            assert np.all(traj.diag[f"exp_disp_p{p}_u"] >= 0.0)
-            assert np.all(traj.diag[f"exp_gradexp_p{p}_u"] >= 0.0)
+            assert np.all(traj.diag[f"exp_disp_p{p}"] >= 0.0)
+            assert np.all(traj.diag[f"exp_gradexp_p{p}"] >= 0.0)
 
     def test_third_term_strictly_tightens_below_critical(self, hardy_setup):
         # same trajectory, coefficient arithmetic only: 2(2 - sqrt(delta)) is
@@ -243,7 +243,7 @@ class TestExpEnergy:
         coeff1 = 2.0 * (2.0 - math.sqrt(1.0))
         assert coeff4 == 0.0
         assert coeff1 == 2.0
-        third = _cumulative_trapezoid(traj.diag["exp_gradexp_p2_u"], traj.times)
+        third = _cumulative_trapezoid(traj.diag["exp_gradexp_p2"], traj.times)
         assert np.all(coeff1 * third[1:] > 0.0)
         assert np.all(coeff4 * third == 0.0)
 
