@@ -1,5 +1,7 @@
-"""Value conversion shared by the config dataclasses; imports nothing but the standard library."""
+"""Value conversion shared by the config dataclasses, and the CPU count that
+sizes every thread pool; imports nothing but the standard library."""
 
+import os
 from numbers import Integral
 
 
@@ -45,3 +47,12 @@ def whole_steps(t_final, dt):
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
         raise ValueError(f"t_final={t_final} must be a whole number of steps of dt={dt}")
     return n_steps
+
+
+def usable_cpus():
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else os.cpu_count().  os.cpu_count() alone also counts CPUs that
+    a cpuset or an affinity mask keeps the process off."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -34,7 +34,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -45,7 +44,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from ._convert import integral, real
+from ._convert import integral, real, usable_cpus
 from .drift import (
     DriftSpec,
     build_drift,
@@ -600,7 +599,7 @@ def pipeline_verify(exp):
     # error raised and every output byte are the serial run's.
     schedule = members + (exp.schedule_b if run_cauchy else [])
     finest_index = len(members) - 1
-    pool = ThreadPoolExecutor(min(len(schedule), os.cpu_count() or 1))
+    pool = ThreadPoolExecutor(min(len(schedule), usable_cpus()))
     try:
         sweep = pool.submit(_form_bound_sweep, exp, b)
         delta, c_delta, config = exp.check_parameters(b)

@@ -6,13 +6,25 @@ the Laplacian and the heat semigroup are Fourier multipliers; differentiation
 zeroes the Nyquist mode so that real input yields real output.  build_field
 makes the constant, trig and file fields of the drift and the initial datum.
 
-scipy.fft is imported by the first FFT, not with this module, so a command
-that makes no FFT (sde, norm, init) never loads it.  verify makes its first
-FFTs on two threads at once: the delta_hat sweep runs on its pool beside
-c(delta) on the calling thread, and the member solves and the Cauchy check's
-distances run on the same pool.  The import lock lets one thread import
-scipy.fft while the other waits, and a grid's cached symbols may be built by
-both; they are deterministic, so either copy is bitwise the same.
+rfftn and irfftn call scipy's compiled pocketfft kernel directly (through
+_pocketfft), with scipy.fft's conventions: the forward transform is
+unscaled and the inverse applies one factor 1/N for N points, so both are
+bitwise scipy.fft.rfftn and irfftn.  scipy.fft itself is never imported: it
+would load some 310 modules, scipy.special and the array-API layer among
+them, for these two calls.  The first FFT loads the kernel, not the import
+of this module, so a command that makes no FFT (sde, norm, init) never
+loads it.  An FFT runs on 1 thread below _FFT_WORKER_THRESHOLD points and
+on usable_cpus() threads from there up.  verify makes its first FFTs on two threads at once: the
+delta_hat sweep runs on its pool beside c(delta) on the calling thread, and
+the member solves and the Cauchy check's distances run on the same pool.
+The import lock lets one thread load the kernel while the other waits, and
+a grid's cached symbols may be built by both; they are deterministic, so
+either copy is bitwise the same.
+
+solve's advection transforms only the slab of the spectrum that the
+two-thirds mask keeps, the lines k_last <= n//3 of the halved last axis,
+through the out, scratch and padded arguments of rfftn and irfftn, into
+buffers that it allocates once.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._convert import integral, real
+from ._convert import integral, real, usable_cpus
 
 __all__ = [
     "TorusGrid",
@@ -42,24 +54,47 @@ __all__ = [
     "read_field",
 ]
 
-# Below this many points the scipy.fft thread pool costs more than it saves.
+# Below this many points a second FFT thread costs more than it saves, so an
+# FFT runs on 1 thread below it and on every CPU this process may use
+# (usable_cpus) at or above it.  The count passed to the kernel is always
+# explicit: pocketfft reads 0 as the OpenMP default.
 _FFT_WORKER_THRESHOLD = 1 << 16
 
 
 def _workers(size):
-    return -1 if size >= _FFT_WORKER_THRESHOLD else 1
+    return usable_cpus() if size >= _FFT_WORKER_THRESHOLD else 1
 
 
-def rfftn(values):
-    import scipy.fft  # after the first FFT, a sys.modules lookup
+def rfftn(values, out=None, scratch=None):
+    """The unscaled real FFT over every axis: bitwise scipy.fft.rfftn(values).
 
-    return scipy.fft.rfftn(values, workers=_workers(values.size))
+    With out, a complex slab of the first m lines of the halved last axis,
+    and scratch, a complex array of the full spectral shape, only those
+    lines are transformed over the leading axes: r2c runs along the last
+    axis into scratch, then the c2c passes run on scratch[..., :m] into out,
+    which is returned.  out is then rfftn(values)[..., :m] bit for bit.
+    """
+    from . import _pocketfft  # after the first FFT, a sys.modules lookup
+
+    return _pocketfft.rfftn(values, _workers(values.size), out, scratch)
 
 
-def irfftn(spectrum, shape):
-    import scipy.fft
+def irfftn(spectrum, shape, out=None, padded=None):
+    """The inverse real FFT onto shape, scaled by 1/N for N = prod(shape):
+    bitwise scipy.fft.irfftn(spectrum, s=shape).
 
-    return scipy.fft.irfftn(spectrum, s=shape, workers=_workers(math.prod(shape)))
+    With out, a real array of shape, and padded, spectrum may be a slab:
+    the first m lines of the halved last axis of a spectrum that is zero on
+    the others.  padded, a complex array of the full spectral shape, is zero
+    on lines m.. and stays so.  The c2c passes over the leading axes run on the slab only
+    and write into padded[..., :m]; one c2r along the last axis then writes
+    out, which is returned.  The 1/N is applied once, float64(1/longdouble(N))
+    as pocketfft forms it, so out is irfftn of the zero-extended slab bit for
+    bit; a 1/n per pass would be so only for n a power of two.
+    """
+    from . import _pocketfft
+
+    return _pocketfft.irfftn(spectrum, tuple(shape), _workers(math.prod(shape)), out, padded)
 
 
 @dataclass(frozen=True)

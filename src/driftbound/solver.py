@@ -19,13 +19,26 @@ snapshots.  Full fields are stored only every snapshot_stride steps (plus
 the final time); the checks that hold pointwise in time (Orlicz, L^p, cosh)
 read those snapshots.
 
+The advection works on a slab of the spectrum: the lines k_last <= n//3 of
+the halved last axis, the only ones on which the two-thirds mask keeps a
+mode.  Its inverse transforms run the c2c passes over the leading axes on
+the slab only, into the head of a spectrum that is zero beyond it, then one
+c2r along the last axis; its forward transform runs r2c along the last axis,
+then the c2c passes on the slab only (grid.rfftn and irfftn with their slab
+arguments).  n1, n2 and the RK2 predictor are slabs.  The update multiplies
+the whole spectrum by the integrating factor and subtracts on the slab
+only, since n1 and n2 are zero beyond it, so every nonzero mode sees the
+operations of the full-spectrum step, in its order.
+
 A step allocates no elementwise temporaries: the advection sum, the
 RK2/Euler update, the Parseval sum and the diagnostics write with in-place
-ufuncs into per-solve work buffers or into the state.  They run the same
+ufuncs into per-solve work buffers or into the state, and the advection's
+transforms write into buffers of their own.  They run the same
 floating-point operations in the same order as the plain expressions given
 in the comments, so every trajectory is bitwise what those expressions give
-(tests/test_solver.py keeps them as its oracle).  Only the FFTs return new
-arrays.  No buffer is ever a snapshot's values or a result.
+(tests/test_solver.py keeps them as its oracle).  Only the transforms of the
+physical field and of the gradient components return new arrays.  No buffer
+is ever a snapshot's values or a result.
 """
 
 from __future__ import annotations
@@ -183,12 +196,16 @@ def solve(b_smooth, f, config, diagnostics=True):
     read, and forms the physical field only at snapshot steps.  The
     trajectory, snapshots and dirichlet_v are the same as a full solve's.
 
-    Work buffers: one real array of the grid's shape, one complex array of
-    the spectral shape, a second complex array for the RK2 predictor, and
-    2 + max(p_list)/2 real arrays for a full solve's diagnostics.  They are
-    allocated once per solve and overwritten every step; the state spectrum
-    is updated in place.  A change to the step must keep its operations and
-    their order, or the bitwise oracle test fails.
+    Work buffers: two real arrays of the grid's shape (the advection sum and
+    each inverse transform's output), two complex arrays of the spectral
+    shape (one for the symbol products and the forward r2c, whose head also
+    holds each slab symbol product; one that is zero beyond the slab, for
+    the inverse), two complex slabs (n1 and the predictor, which n2
+    overwrites), and 2 + max(p_list)/2 real arrays for a full solve's
+    diagnostics.  The gradient symbols are formed on the slab only.  The
+    buffers are allocated once per solve and overwritten every step; the
+    state spectrum is updated in place.  A change to the step must keep its
+    operations and their order, or the bitwise oracle test fails.
     """
     grid = f.grid
     if b_smooth.grid != grid:
@@ -209,7 +226,14 @@ def solve(b_smooth, f, config, diagnostics=True):
     n_steps = config.n_steps
 
     factor = np.exp(config.dt * (grid.laplace_symbol - config.shift))
-    grad_syms = tuple(g * mask for g in grid.gradient_symbols)
+    # The advection works on the slab of the first `lines` lines of the
+    # halved last axis, the modes with k_last <= n//3 that the mask keeps:
+    # every mode beyond it is zeroed before and after each transform.
+    lines = grid.n // 3 + 1
+    slab_mask = mask[..., :lines]
+    slab_factor = factor[..., :lines]
+    # (g * mask)[..., :lines], formed on the slab only
+    grad_syms = tuple(g[..., :lines] * slab_mask for g in grid.gradient_symbols)
     # Parseval on the halved rfft axis: an interior mode stands for itself and
     # its conjugate, the modes at index 0 and at the Nyquist index for one.
     # The root of the weight multiplies the spectrum, so that an overflowing
@@ -220,28 +244,39 @@ def solve(b_smooth, f, config, diagnostics=True):
     advect = b_max > 0
 
     # `work` holds the advection sum and |grad v|^2, and `squares`, its
-    # leading entries in the spectral shape, the Dirichlet sum's terms;
-    # `spectral_work` holds each symbol product
+    # leading entries in the spectral shape, the Dirichlet sum's terms.
+    # `spectral_work` holds each full symbol product and the advection's
+    # forward r2c, and `product`, its leading entries in the slab shape, each
+    # slab symbol product.  `padded` is the inverse's spectrum, zero beyond
+    # the slab; `component` is each inverse's output.  `n1` and `predictor`
+    # are slabs; the predictor's advection, n2, is written over it.
     work = np.empty(grid.shape)
     spectral_work = np.empty(grid.spectral_shape, dtype=complex)
     squares = work.reshape(-1)[: spectral_work.size].reshape(grid.spectral_shape)
-    predictor = np.empty_like(spectral_work)
+    slab_shape = grid.spectral_shape[:-1] + (lines,)
+    product = spectral_work.reshape(-1)[: math.prod(slab_shape)].reshape(slab_shape)
+    padded = np.zeros_like(spectral_work)
+    component = np.empty(grid.shape)
+    n1 = np.empty(slab_shape, dtype=complex)
+    predictor = np.empty_like(n1)
     # a full solve's diagnostics: a scratch array, the exp weight, and x^2 .. x^top
     diag_buffers = (
         [np.empty(grid.shape) for _ in range(2 + max(config.p_list) // 2)] if diagnostics else None
     )
 
-    def advection(source):
-        """Dealiased spectrum of b . grad v for the spectrum `source`: a new array.
+    def advection(source, out):
+        """Dealiased slab spectrum of b . grad v for the slab `source`, into out.
 
-        Plain form: rfftn(zeros + sum over a of b_a * irfftn(source * g_a)) * mask.
+        Plain form: (rfftn(zeros + sum over a of b_a * irfftn(source * g_a)) * mask),
+        with source, g_a and mask cut to the slab and source zero beyond it.
         """
         work.fill(0.0)
         for b_a, g_a in zip(b_parts, grad_syms):
-            component = irfftn(np.multiply(source, g_a, out=spectral_work), grid.shape)
+            np.multiply(source, g_a, out=product)
+            irfftn(product, grid.shape, out=component, padded=padded)
             np.add(work, np.multiply(b_a, component, out=component), out=work)
-        out = rfftn(work)
-        out *= mask
+        rfftn(work, out=out, scratch=spectral_work)
+        out *= slab_mask
         return out
 
     times = config.dt * np.arange(n_steps + 1)
@@ -253,6 +288,7 @@ def solve(b_smooth, f, config, diagnostics=True):
     snapshots = []
 
     spectrum = rfftn(f.values)
+    slab = spectrum[..., :lines]
     v_phys = f.values
     aborted = False
     abort_message = ""
@@ -284,24 +320,25 @@ def solve(b_smooth, f, config, diagnostics=True):
             if not advect:
                 np.multiply(factor, spectrum, out=spectrum)
             elif config.scheme == "if_euler":
-                # spectrum = factor * (spectrum - dt * n1)
-                n1 = advection(spectrum)
+                # spectrum = factor * (spectrum - dt * n1), n1 zero beyond the slab
+                advection(slab, n1)
                 np.multiply(config.dt, n1, out=n1)
-                spectrum -= n1
+                slab -= n1
                 np.multiply(factor, spectrum, out=spectrum)
             else:
                 # predictor = factor * (spectrum - dt * n1)
                 # spectrum = factor * spectrum - 0.5 * dt * (factor * n1 + n2)
-                n1 = advection(spectrum)
+                # with n1, n2 zero beyond the slab and the predictor read on it
+                advection(slab, n1)
                 np.multiply(config.dt, n1, out=predictor)
-                np.subtract(spectrum, predictor, out=predictor)
-                np.multiply(factor, predictor, out=predictor)
-                n2 = advection(predictor)
-                np.multiply(factor, n1, out=n1)
+                np.subtract(slab, predictor, out=predictor)
+                np.multiply(slab_factor, predictor, out=predictor)
+                n2 = advection(predictor, predictor)
+                np.multiply(slab_factor, n1, out=n1)
                 n1 += n2
                 np.multiply(0.5 * config.dt, n1, out=n1)
                 np.multiply(factor, spectrum, out=spectrum)
-                spectrum -= n1
+                slab -= n1
         if not np.all(np.isfinite(spectrum.view(float))):
             aborted = True
             abort_message = f"non-finite state after step {k + 1} (t={times[k + 1]:.6g})"

@@ -5,13 +5,16 @@ import re
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import driftbound
-from driftbound import cli
+from driftbound import _pocketfft, cli
+from driftbound import grid as grid_module
 from driftbound._convert import integral
 from driftbound.cli import DEFAULTS, REQUIRED, Experiment, load_config, main
 from driftbound.drift import form_bound_estimate, mollify_drift
@@ -248,7 +251,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "solve", finest_last)
         # two pool threads even on a one-core host, or the finest would block
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         assert main(["verify", "--config", str(cfg), "--output", str(tmp_path / "late")]) == 0
         assert finished == [False, False, False, True]
 
@@ -275,6 +278,37 @@ class TestVerify:
         for run in ("late", "sweep"):
             for name in ("reports.json", "certificates.json", "diagnostics.csv"):
                 assert (tmp_path / run / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_one_usable_cpu_gives_one_pool_thread_and_one_fft_thread(self, tmp_path, monkeypatch):
+        sizes, threads = [], []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        class RecordingKernel:
+            def __getattr__(self, name):
+                def transform(*args):
+                    threads.append(args[-1])
+                    return getattr(kernel, name)(*args)
+
+                return transform
+
+        kernel = _pocketfft.kernel
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(grid_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        cfg = tmp_path / "cfg.yaml"
+        write_config(cfg, tmp_path / "run")
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert sizes == [1]
+
+        monkeypatch.setattr(_pocketfft, "kernel", RecordingKernel())
+        values = np.zeros((64,) * 3)
+        assert values.size >= grid_module._FFT_WORKER_THRESHOLD
+        grid_module.irfftn(grid_module.rfftn(values), values.shape)
+        assert threads == [1, 1]
 
     def test_first_violation_in_schedule_order_ends_the_run(self, tmp_path, capsys):
         # dt = 0.015 breaks CFL for every member finer than eps = 1e-2.  The

@@ -321,7 +321,9 @@ def test_eigen_engine_does_not_depend_on_the_blas_thread_count():
 # and norm make no FFT and must leave scipy.fft unloaded; verify then makes
 # its first FFT on a pool thread (the delta_hat sweep) and on the calling
 # thread (c(delta)) at once, so both may reach the import together.
-FFT_IMPORT_PROBE = """
+# sde and norm make no FFT, and verify makes its first FFTs on two threads at
+# once (the delta_hat sweep on the pool beside c(delta) on the calling thread)
+FFT_KERNEL_PROBE = """
 import sys
 from driftbound import cli
 data = {
@@ -333,16 +335,20 @@ data = {
 }
 for name in ("sde", "norm"):
     assert cli.run(name, data, output_dir=sys.argv[1]) == 0, name
-    assert "scipy.fft" not in sys.modules, name
+    assert "driftbound._pocketfft" not in sys.modules, name
+    scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    assert not scipy, (name, scipy)
 assert cli.run("verify", data, output_dir=sys.argv[1]) == 0
-assert "scipy.fft" in sys.modules
+assert sys.modules["driftbound._pocketfft"].kernel.__name__ == "driftbound.pypocketfft"
+for name in ("scipy.fft", "scipy.special", "scipy._lib._array_api"):
+    assert name not in sys.modules, name
 """
 
 
-def test_scipy_fft_loads_on_the_first_fft(tmp_path):
+def test_fft_kernel_loads_on_the_first_fft_without_scipy_fft(tmp_path):
     src = str(Path(driftbound.__file__).resolve().parents[1])
     run = subprocess.run(
-        [sys.executable, "-c", FFT_IMPORT_PROBE, str(tmp_path / "run")],
+        [sys.executable, "-c", FFT_KERNEL_PROBE, str(tmp_path / "run")],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,

@@ -16,6 +16,9 @@ from driftbound import (
     read_field,
     write_field,
 )
+from driftbound import grid as grid_module
+from driftbound._convert import usable_cpus
+from driftbound.grid import irfftn, rfftn
 from conftest import random_band_limited
 
 
@@ -47,6 +50,72 @@ class TestTorusGrid:
         values[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             ScalarField(grid1d, values)
+
+
+class TestTransforms:
+    # 64^3 is at the FFT worker threshold, so it runs on every usable CPU
+    @pytest.mark.parametrize("shape", [(64,), (24, 24), (32,) * 3, (48,) * 3, (64,) * 3])
+    def test_bitwise_scipy_fft(self, shape):
+        import scipy.fft
+
+        values = np.random.default_rng(3).standard_normal(shape)
+        spectrum = rfftn(values)
+        assert spectrum.tobytes() == scipy.fft.rfftn(values).tobytes()
+        assert irfftn(spectrum, shape).tobytes() == scipy.fft.irfftn(spectrum, s=shape).tobytes()
+
+    def test_thread_count_is_explicit(self):
+        # pocketfft reads 0 threads as the OpenMP default
+        assert grid_module._workers(grid_module._FFT_WORKER_THRESHOLD - 1) == 1
+        assert grid_module._workers(grid_module._FFT_WORKER_THRESHOLD) == usable_cpus() >= 1
+
+    @pytest.mark.parametrize("n", [8, 24, 32, 48])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_slab_transforms_are_the_masked_full_ones(self, dim, n):
+        grid = TorusGrid(dim, n)
+        lines = n // 3 + 1
+        slab_shape = grid.spectral_shape[:-1] + (lines,)
+        mask = grid.dealias_mask
+        scratch = np.empty(grid.spectral_shape, dtype=complex)
+        padded = np.zeros(grid.spectral_shape, dtype=complex)
+        out = np.empty(slab_shape, dtype=complex)
+        component = np.empty(grid.shape)
+        rng = np.random.default_rng(n + dim)
+        # twice on the same buffers: padded must stay zero beyond the slab
+        for _ in range(2):
+            values = rng.standard_normal(grid.shape)
+            full = rfftn(values)
+            assert rfftn(values, out=out, scratch=scratch) is out
+            assert out.tobytes() == np.ascontiguousarray(full[..., :lines]).tobytes()
+            out *= mask[..., :lines]
+            masked = full * mask
+            assert out.tobytes() == np.ascontiguousarray(masked[..., :lines]).tobytes()
+
+            slab = out.copy()
+            result = irfftn(slab, grid.shape, out=component, padded=padded)
+            assert result is component
+            assert component.tobytes() == irfftn(masked, grid.shape).tobytes()
+            assert not padded[..., lines:].any()
+
+    def test_slab_buffers_are_checked(self):
+        grid = TorusGrid(2, 24)
+        values = np.zeros(grid.shape)
+        scratch = np.empty(grid.spectral_shape, dtype=complex)
+        padded = np.zeros(grid.spectral_shape, dtype=complex)
+        slab = np.zeros((24, 9), dtype=complex)
+        with pytest.raises(ValueError, match="out must be"):
+            rfftn(values, out=np.empty((24, 14), dtype=complex), scratch=scratch)
+        with pytest.raises(ValueError, match="scratch must be"):
+            rfftn(values, out=slab)
+        with pytest.raises(ValueError, match="out must be"):
+            rfftn(values, scratch=scratch)
+        with pytest.raises(ValueError, match="out must be"):
+            irfftn(slab, grid.shape, out=np.empty((24, 23)), padded=padded)
+        with pytest.raises(ValueError, match="padded must be"):
+            irfftn(slab, grid.shape, out=values, padded=padded.astype(np.complex64))
+        with pytest.raises(ValueError, match="out must be"):
+            irfftn(slab, grid.shape, padded=padded)
+        with pytest.raises(ValueError, match="spectrum must be"):
+            irfftn(slab.real, grid.shape, out=values, padded=padded)
 
 
 class TestIntegrate:

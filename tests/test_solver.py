@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -16,7 +17,7 @@ from driftbound import (
     solve,
 )
 from driftbound import solver as solver_module
-from driftbound.grid import irfftn, rfftn
+from driftbound.grid import build_field, irfftn, rfftn
 from driftbound.orlicz import orlicz_norm
 from driftbound.verify import check_orlicz_contraction
 
@@ -296,6 +297,27 @@ class TestLightSolve:
         }
 
 
+def test_light_template_solve_memory_peak():
+    # The template's finest member (n = 32, eps = 1.5625e-4, 100 light steps)
+    # on a fresh grid, so that its cached symbols count too.  Measured with
+    # numpy 2.4: 5 704 920 bytes when the advection transformed the full
+    # spectrum, with full-size gradient symbols and a new array per
+    # transform, and 5 197 240 bytes with the slab buffers.  The bound is the
+    # full-spectrum peak.
+    grid = TorusGrid(3, 32)
+    b = build_drift(DriftSpec(kind="hardy", delta=4.0, sign=-1), grid)
+    b_eps = mollify_drift(b, 1.5625e-4)
+    f = build_field(grid, "trig", [[0.5, [1, 0, 0]], [0.25, [0, 1, 1]]], "initial.terms")
+    cfg = SolverConfig(dt=5e-4, t_final=0.05, shift=2.0)
+    tracemalloc.start()
+    try:
+        solve(b_eps, f, cfg, diagnostics=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_704_920
+
+
 def textbook_solve(b_smooth, f, config):
     """solve() written with a new array for every operation: the bitwise oracle.
 
@@ -393,10 +415,24 @@ def hardy16_oracle_case(scheme, shift):
     return b_eps, f, cfg
 
 
+def hardy24_oracle_case(scheme, shift):
+    # n = 24 is not a power of two, so the slab inverse's single 1/N shows
+    grid = TorusGrid(3, 24)
+    b = build_drift(DriftSpec(kind="hardy", delta=4.0, sign=-1, core_radius=0.125), grid)
+    f = ScalarField.from_function(
+        grid, lambda x, y, z: 0.75 * np.cos(2 * np.pi * np.broadcast_to(x + y, grid.shape))
+    )
+    cfg = SolverConfig(
+        dt=1e-3, t_final=0.02, shift=shift, scheme=scheme, snapshot_stride=5, p_list=(2, 4)
+    )
+    return mollify_drift(b, 3e-3), f, cfg
+
+
 @pytest.mark.parametrize(
     "case",
     [
-        pytest.param(partial(hardy16_oracle_case, scheme, shift), id=f"hardy16-{scheme}-{shift}")
+        pytest.param(partial(oracle_case, scheme, shift), id=f"{name}-{scheme}-{shift}")
+        for name, oracle_case in (("hardy16", hardy16_oracle_case), ("hardy24", hardy24_oracle_case))
         for scheme in ("if_rk2", "if_euler")
         for shift in (0.0, 2.5)
     ]
