@@ -1,19 +1,13 @@
 """scipy's compiled pocketfft kernel, loaded without importing scipy.fft, and
 the calls that grid.rfftn and grid.irfftn make to it.
 
-grid's transforms call this kernel directly.  ``import scipy.fft`` would load
-it too, but along with some 310 other modules (scipy.special through
-_fftlog, the array-API layer and scipy's second OpenBLAS), which cost 0.11 s
-and about 20 MB and none of which grid uses.  The kernel's file is found
-from scipy's import spec, which imports nothing, and loaded on its own in
-0.3 ms and about 0.5 MB.  It is the extension scipy.fft calls, so every
-transform is bitwise what scipy.fft gives.
-
-grid imports this module inside its transforms, so the first FFT loads the
-kernel and compiles these calls, and a command that makes no FFT does
-neither.  The import lock lets one thread run this module while a second
-thread's first FFT waits for it.  The documentation of the transforms, and
-the thread rule, are grid's.
+``import scipy.fft`` would load the kernel too, but along with some 310
+other modules (scipy.special through _fftlog, the array-API layer and
+scipy's second OpenBLAS), which cost 0.11 s and about 20 MB and none of
+which grid uses.  The kernel's file is found from scipy's import spec, which
+imports nothing, and loaded on its own in 0.3 ms and about 0.5 MB.  It is
+the extension scipy.fft calls, so every transform is bitwise what scipy.fft
+gives.
 """
 
 import importlib.machinery
@@ -64,9 +58,7 @@ def _check_buffer(array, shape, dtype, name, slab=False):
 
 
 def rfftn(values, threads, out=None, scratch=None):
-    """grid.rfftn on `threads` threads: r2c (inorm 0, unscaled) over every
-    axis, or with out and scratch, over the last axis into scratch and c2c
-    over the leading ones on scratch's head into out."""
+    """grid.rfftn on `threads` threads; inorm 0 is the kernel's unscaled transform."""
     values = np.asarray(values, dtype=float)
     axes = tuple(range(values.ndim))
     if out is None and scratch is None:
@@ -84,10 +76,7 @@ def rfftn(values, threads, out=None, scratch=None):
 
 
 def irfftn(spectrum, shape, threads, out=None, padded=None):
-    """grid.irfftn on `threads` threads: c2r with inorm 2 (1/N) over every
-    axis, or with out and padded, c2c over the leading axes of the slab into
-    padded's head and an unscaled c2r over the last axis into out, then the
-    kernel's own factor float64(1/longdouble(N))."""
+    """grid.irfftn on `threads` threads; inorm 2 is the kernel's factor 1/N."""
     axes = tuple(range(len(shape)))
     if out is None and padded is None:
         spectrum = np.asarray(spectrum, dtype=complex)
@@ -102,4 +91,6 @@ def irfftn(spectrum, shape, threads, out=None, padded=None):
     else:
         kernel.c2c(spectrum, axes[:-1], False, 0, head, threads)
     kernel.c2r(padded, axes[-1:], shape[-1], False, 0, out, threads)
+    # the 1/N once, float64(1/longdouble(N)) as the kernel forms it for inorm
+    # 2; a 1/n per pass would match it only for n a power of two
     return np.multiply(out, float(1 / np.longdouble(out.size)), out=out)

@@ -66,7 +66,8 @@ from .verify import (
     check_gradient_bound,
     check_lp_contraction,
     check_orlicz_contraction,
-    lp_threshold,
+    growth_rate,
+    lp_exponent,
     render_reports,
 )
 
@@ -266,11 +267,11 @@ class Experiment:
     its source key, verifier ids (at least one) and constants.  The drift,
     solver and sde sections are passed whole to their dataclasses, which
     convert and validate each field; sde only when the config has it.  It
-    fixes the checks' delta and L^p exponent; check_parameters adds c_delta
-    and the shift once the drift is built.  The pipelines raise their
-    remaining config errors (a drift or datum that cannot be built, a Cauchy
-    check without two schedule members, cosh_energy with an explicit shift,
-    selected checks none of which can run) before they write any file.
+    fixes the seed and the checks' delta and L^p exponent; check_parameters
+    adds c_delta and the shift once the drift is built.  The pipelines raise
+    their remaining config errors (a drift or datum that cannot be built, a
+    Cauchy check without two schedule members, cosh_energy with an explicit
+    shift, selected checks none of which can run) before they write any file.
     """
 
     def __init__(self, data, output_dir=None, seed=None, tier=None):
@@ -279,12 +280,6 @@ class Experiment:
             raise ConfigError(f"unknown sections {unknown}; known sections are {list(DEFAULTS)}")
         with _checking("experiment"):
             exp = _section(data, "experiment")
-            self.seed = integral(exp["seed"] if seed is None else seed, "seed")
-            # an explicit seed also wins over sde.seed
-            self.seed_overridden = seed is not None
-            if self.seed < 0:
-                name = "--seed" if self.seed_overridden else "experiment.seed"
-                raise ConfigError(f"{name} must be >= 0, got {self.seed}")
             self.output_dir = Path(output_dir or exp["output_dir"])
             self.tier = tier or exp["tolerance_tier"]
             if self.tier not in ("analytic", "singular"):
@@ -358,20 +353,23 @@ class Experiment:
             if self.c_delta is not None and not self.c_delta >= 0:
                 raise ConfigError(f"verifier.c_delta must be >= 0, got {c_delta}")
             # None skips lp_contraction: its threshold 2/(2 - sqrt(delta)) needs
-            # delta < 4.  Auto p is the smallest even integer at or above it.
+            # delta < 4
             self.lp_p = None
             if "lp_contraction" in self.inequalities and self.delta < 4.0:
-                threshold = lp_threshold(self.delta)
-                p = verifier["lp_p"]
-                self.lp_p = max(2, 2 * math.ceil(threshold / 2)) if p == "auto" else real(p, "lp_p")
-                if self.lp_p < threshold - 1e-12:
-                    raise ConfigError(
-                        f"verifier.lp_p={p} is below the threshold 2/(2 - sqrt(delta)) = "
-                        f"{threshold:.6g} for delta={self.delta}"
-                    )
+                self.lp_p = lp_exponent(self.delta, verifier["lp_p"])
 
         with _checking("sde"):
             sde = _section(data, "sde")
+            # The run's one seed, which only the SDE reads: --seed, else
+            # sde.seed, else experiment.seed, each named in its own error.
+            sources = [("--seed", seed), ("sde.seed", sde["seed"]), ("experiment.seed", exp["seed"])]
+            name, value = next(source for source in sources if source[1] is not None)
+            try:
+                self.seed = integral(value, name)
+            except ValueError as exc:
+                raise ConfigError(exc) from None
+            if self.seed < 0:
+                raise ConfigError(f"{name} must be >= 0, got {self.seed}")
             # (base config, swept deltas); None when the config has no sde section
             self.sde = self._sde_sweep(sde) if data.get("sde") else None
 
@@ -382,11 +380,8 @@ class Experiment:
         self.artifacts = set()  # names of the files this run wrote
 
     def _sde_sweep(self, cfg):
-        seed = self.seed if self.seed_overridden or cfg["seed"] is None else cfg["seed"]
         deltas = cfg.pop("deltas")
-        base = SdeConfig(**{**cfg, "seed": seed})
-        if base.seed < 0:
-            raise ConfigError(f"sde.seed must be >= 0, got {base.seed}")
+        base = SdeConfig(**{**cfg, "seed": self.seed})
         deltas = [base.delta] if deltas is None else [real(d, "deltas") for d in deltas]
         # validates every swept config, so a bad delta is a config error
         sweep_configs(base, deltas)
@@ -413,11 +408,11 @@ class Experiment:
         delta comes from __init__.  An explicit verifier.c_delta wins;
         otherwise c_delta is zeroth_order_constant(b, delta), the smallest
         constant valid for every grid field at delta (0 for a zero drift).  An
-        explicit solver.shift wins; otherwise the shift is c_delta / sqrt(delta),
-        which the paper's estimates assume.
+        explicit solver.shift wins; otherwise the shift is the growth rate
+        c_delta / sqrt(delta), which the paper's estimates assume.
         """
         c_delta = zeroth_order_constant(b, self.delta) if self.c_delta is None else self.c_delta
-        shift = c_delta / math.sqrt(self.delta) if self.shift is None else self.shift
+        shift = growth_rate(self.delta, c_delta) if self.shift is None else self.shift
         return self.delta, c_delta, dataclasses.replace(self.solver, shift=shift)
 
     # -- artifact bookkeeping --------------------------------------------

@@ -87,8 +87,9 @@ class DriftSpec:
                 raise ValueError(f"hardy drift needs delta > 0, got {self.delta}")
             if self.sign not in (-1, 1):
                 raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-            if self.core_radius is not None and self.core_radius < 0:
-                raise ValueError(f"core_radius must be >= 0, got {self.core_radius}")
+            # at 0 the drift divides by zero at the origin, always a grid point
+            if self.core_radius is not None and not self.core_radius > 0:
+                raise ValueError(f"core_radius must be > 0, got {self.core_radius}")
         if self.kind != "hardy" and getattr(self, DRIFT_SOURCES[self.kind]) is None:
             raise ValueError(f"{self.kind} drift needs {DRIFT_SOURCES[self.kind]}")
 

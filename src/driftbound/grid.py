@@ -6,25 +6,10 @@ the Laplacian and the heat semigroup are Fourier multipliers; differentiation
 zeroes the Nyquist mode so that real input yields real output.  build_field
 makes the constant, trig and file fields of the drift and the initial datum.
 
-rfftn and irfftn call scipy's compiled pocketfft kernel directly (through
-_pocketfft), with scipy.fft's conventions: the forward transform is
-unscaled and the inverse applies one factor 1/N for N points, so both are
-bitwise scipy.fft.rfftn and irfftn.  scipy.fft itself is never imported: it
-would load some 310 modules, scipy.special and the array-API layer among
-them, for these two calls.  The first FFT loads the kernel, not the import
-of this module, so a command that makes no FFT (sde, norm, init) never
-loads it.  An FFT runs on 1 thread below _FFT_WORKER_THRESHOLD points and
-on usable_cpus() threads from there up.  verify makes its first FFTs on two threads at once: the
-delta_hat sweep runs on its pool beside c(delta) on the calling thread, and
-the member solves and the Cauchy check's distances run on the same pool.
-The import lock lets one thread load the kernel while the other waits, and
-a grid's cached symbols may be built by both; they are deterministic, so
-either copy is bitwise the same.
-
-solve's advection transforms only the slab of the spectrum that the
-two-thirds mask keeps, the lines k_last <= n//3 of the halved last axis,
-through the out, scratch and padded arguments of rfftn and irfftn, into
-buffers that it allocates once.
+rfftn and irfftn are bitwise scipy.fft's, through scipy's compiled
+pocketfft kernel (_pocketfft).  verify transforms on several threads at
+once, so two of them may build a grid's cached symbols; the symbols are
+deterministic, so either copy is bitwise the same.
 """
 
 from __future__ import annotations
@@ -74,7 +59,10 @@ def rfftn(values, out=None, scratch=None):
     axis into scratch, then the c2c passes run on scratch[..., :m] into out,
     which is returned.  out is then rfftn(values)[..., :m] bit for bit.
     """
-    from . import _pocketfft  # after the first FFT, a sys.modules lookup
+    # Imported here, so the first FFT loads the kernel and a command that
+    # makes none (sde, norm, init) never does; after it, a sys.modules
+    # lookup.  The import lock makes a second thread's first FFT wait.
+    from . import _pocketfft
 
     return _pocketfft.rfftn(values, _workers(values.size), out, scratch)
 
@@ -86,13 +74,12 @@ def irfftn(spectrum, shape, out=None, padded=None):
     With out, a real array of shape, and padded, spectrum may be a slab:
     the first m lines of the halved last axis of a spectrum that is zero on
     the others.  padded, a complex array of the full spectral shape, is zero
-    on lines m.. and stays so.  The c2c passes over the leading axes run on the slab only
-    and write into padded[..., :m]; one c2r along the last axis then writes
-    out, which is returned.  The 1/N is applied once, float64(1/longdouble(N))
-    as pocketfft forms it, so out is irfftn of the zero-extended slab bit for
-    bit; a 1/n per pass would be so only for n a power of two.
+    on lines m.. and stays so.  The c2c passes over the leading axes run on
+    the slab only and write into padded[..., :m]; one c2r along the last
+    axis then writes out, which is returned: irfftn of the zero-extended
+    slab bit for bit.
     """
-    from . import _pocketfft
+    from . import _pocketfft  # see rfftn
 
     return _pocketfft.irfftn(spectrum, tuple(shape), _workers(math.prod(shape)), out, padded)
 

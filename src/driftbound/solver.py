@@ -19,16 +19,12 @@ snapshots.  Full fields are stored only every snapshot_stride steps (plus
 the final time); the checks that hold pointwise in time (Orlicz, L^p, cosh)
 read those snapshots.
 
-The advection works on a slab of the spectrum: the lines k_last <= n//3 of
-the halved last axis, the only ones on which the two-thirds mask keeps a
-mode.  Its inverse transforms run the c2c passes over the leading axes on
-the slab only, into the head of a spectrum that is zero beyond it, then one
-c2r along the last axis; its forward transform runs r2c along the last axis,
-then the c2c passes on the slab only (grid.rfftn and irfftn with their slab
-arguments).  n1, n2 and the RK2 predictor are slabs.  The update multiplies
-the whole spectrum by the integrating factor and subtracts on the slab
-only, since n1 and n2 are zero beyond it, so every nonzero mode sees the
-operations of the full-spectrum step, in its order.
+The advection transforms only the slab of the spectrum that the two-thirds
+mask keeps (grid.rfftn and irfftn with their slab arguments).  n1, n2 and
+the RK2 predictor are slabs.  The update multiplies the whole spectrum by
+the integrating factor and subtracts on the slab only, since n1 and n2 are
+zero beyond it, so every nonzero mode sees the operations of the
+full-spectrum step, in its order.
 
 A step allocates no elementwise temporaries: the advection sum, the
 RK2/Euler update, the Parseval sum and the diagnostics write with in-place
@@ -104,6 +100,8 @@ class SolverConfig:
             if p != int(p) or int(p) < 2 or int(p) % 2:
                 raise ValueError(f"p_list entries must be even integers >= 2, got {p}")
         self.p_list = tuple(int(p) for p in self.p_list)
+        if len(set(self.p_list)) < len(self.p_list):
+            raise ValueError(f"p_list entries must not repeat, got {list(self.p_list)}")
 
 
 @dataclass
@@ -114,7 +112,8 @@ class Trajectory:
     i is exp(shift * t_i) * v_i.  diag maps names to per-step arrays: the
     Dirichlet integral of v, dirichlet_v, and for a full solve every
     diagnostics.csv column of u but t, orlicz and dirichlet, by its CSV name.
-    A light solve's diag holds dirichlet_v only.
+    A light solve's diag holds dirichlet_v only.  abort_message is empty
+    unless the solve aborted; times and diag then end at the last valid step.
     """
 
     grid: TorusGrid
@@ -124,8 +123,11 @@ class Trajectory:
     diag: dict
     snapshot_indices: list
     snapshots: list
-    aborted: bool = False
     abort_message: str = ""
+
+    @property
+    def aborted(self):
+        return bool(self.abort_message)
 
     @property
     def dirichlet_u(self):
@@ -189,23 +191,12 @@ def solve(b_smooth, f, config, diagnostics=True):
 
     The drift should be mollified/band-limited; its spectrum is dealiased
     with the two-thirds mask before use.  Raises on CFL violation; a NaN
-    mid-run aborts with the last valid state and sets Trajectory.aborted.
+    mid-run aborts with the last valid state and sets abort_message.
 
     With diagnostics=False the solve is light: it records only dirichlet_v
     and the snapshots, which is all the gradient-bound and Cauchy checks
     read, and forms the physical field only at snapshot steps.  The
     trajectory, snapshots and dirichlet_v are the same as a full solve's.
-
-    Work buffers: two real arrays of the grid's shape (the advection sum and
-    each inverse transform's output), two complex arrays of the spectral
-    shape (one for the symbol products and the forward r2c, whose head also
-    holds each slab symbol product; one that is zero beyond the slab, for
-    the inverse), two complex slabs (n1 and the predictor, which n2
-    overwrites), and 2 + max(p_list)/2 real arrays for a full solve's
-    diagnostics.  The gradient symbols are formed on the slab only.  The
-    buffers are allocated once per solve and overwritten every step; the
-    state spectrum is updated in place.  A change to the step must keep its
-    operations and their order, or the bitwise oracle test fails.
     """
     grid = f.grid
     if b_smooth.grid != grid:
@@ -226,9 +217,8 @@ def solve(b_smooth, f, config, diagnostics=True):
     n_steps = config.n_steps
 
     factor = np.exp(config.dt * (grid.laplace_symbol - config.shift))
-    # The advection works on the slab of the first `lines` lines of the
-    # halved last axis, the modes with k_last <= n//3 that the mask keeps:
-    # every mode beyond it is zeroed before and after each transform.
+    # The slab: the first `lines` lines of the halved last axis, k_last <=
+    # n//3, the only ones on which the mask keeps a mode.
     lines = grid.n // 3 + 1
     slab_mask = mask[..., :lines]
     slab_factor = factor[..., :lines]
@@ -243,6 +233,7 @@ def solve(b_smooth, f, config, diagnostics=True):
     dirichlet_root = np.sqrt(grid.dirichlet_symbol * parseval) / grid.size
     advect = b_max > 0
 
+    # The work buffers, allocated once per solve and overwritten every step.
     # `work` holds the advection sum and |grad v|^2, and `squares`, its
     # leading entries in the spectral shape, the Dirichlet sum's terms.
     # `spectral_work` holds each full symbol product and the advection's
@@ -290,9 +281,7 @@ def solve(b_smooth, f, config, diagnostics=True):
     spectrum = rfftn(f.values)
     slab = spectrum[..., :lines]
     v_phys = f.values
-    aborted = False
     abort_message = ""
-    last_step = n_steps
 
     for k in range(n_steps + 1):
         snapshot = k % config.snapshot_stride == 0 or k == n_steps
@@ -340,15 +329,10 @@ def solve(b_smooth, f, config, diagnostics=True):
                 np.multiply(factor, spectrum, out=spectrum)
                 slab -= n1
         if not np.all(np.isfinite(spectrum.view(float))):
-            aborted = True
             abort_message = f"non-finite state after step {k + 1} (t={times[k + 1]:.6g})"
-            last_step = k
+            times = times[: k + 1]
+            diag = {name: col[: k + 1] for name, col in diag.items()}
             break
-
-    if aborted:
-        keep = last_step + 1
-        times = times[:keep]
-        diag = {name: col[:keep] for name, col in diag.items()}
 
     return Trajectory(
         grid=grid,
@@ -358,7 +342,6 @@ def solve(b_smooth, f, config, diagnostics=True):
         diag=diag,
         snapshot_indices=snapshot_indices,
         snapshots=snapshots,
-        aborted=aborted,
         abort_message=abort_message,
     )
 

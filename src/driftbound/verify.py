@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._convert import real
 from .grid import ScalarField, lp_norm
 from .orlicz import modular, orlicz_norm
 
@@ -28,7 +29,9 @@ __all__ = [
     "VerificationReport",
     "check_orlicz_contraction",
     "check_lp_contraction",
+    "growth_rate",
     "lp_threshold",
+    "lp_exponent",
     "check_cosh_energy",
     "check_exp_energy",
     "check_gradient_bound",
@@ -82,7 +85,7 @@ class VerificationReport:
             "lhs": [float(x) for x in self.lhs],
             "rhs": [float(x) for x in self.rhs],
             "slack": [float(x) for x in self.slack],
-            "notes": _jsonable(self.notes),
+            "notes": dict(self.notes),
         }
         if self.refinement_trend is not None:
             out["refinement_trend"] = [float(x) for x in self.refinement_trend]
@@ -102,18 +105,6 @@ class VerificationReport:
             f"{self.inequality_id:<24s} {status}  min relative slack {relative[i]:+.3e}{where} "
             f"(tol_rel {self.tol_rel:g}, {len(self.times)} checkpoints)"
         )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    return obj
 
 
 def render_reports(reports):
@@ -138,7 +129,9 @@ def _cumulative_trapezoid(y, t):
     return out
 
 
-def _growth_rate(delta, c_delta):
+def growth_rate(delta, c_delta):
+    """c_delta / sqrt(delta), the rate in every check's right-hand side and the
+    auto solver shift."""
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     return c_delta / math.sqrt(delta)
@@ -154,7 +147,7 @@ def check_orlicz_contraction(traj, delta, c_delta, tol_rel=ANALYTIC_TOL):
     values its diagnostics CSV carries.
     """
     _require_clean(traj)
-    rate = _growth_rate(delta, c_delta)
+    rate = growth_rate(delta, c_delta)
     times = traj.snapshot_times
     lhs = traj.snapshot_orlicz
     norm_f = lhs[0]
@@ -182,19 +175,29 @@ def lp_threshold(delta):
     return 2.0 / (2.0 - math.sqrt(delta))
 
 
-def check_lp_contraction(traj, p, delta, c_delta, tol_rel=ANALYTIC_TOL):
-    """||u(t)||_p <= exp((c/(p sqrt(delta))) t) ||f||_p for admissible p.
+def lp_exponent(delta, p):
+    """The L^p check's exponent at delta: for "auto" the smallest even integer
+    at or above lp_threshold(delta), else p, which must not lie below it.
 
-    Rejects p below the threshold 2/(2 - sqrt(delta)) (only there does the
-    dispersion coefficient 4(p-1)/p - 2 sqrt(delta) stay nonnegative).
+    Only at or above the threshold does the dispersion coefficient
+    4(p-1)/p - 2 sqrt(delta) stay nonnegative.
     """
-    _require_clean(traj)
     threshold = lp_threshold(delta)
+    if p == "auto":
+        return max(2, 2 * math.ceil(threshold / 2))
+    p = real(p, "lp_p")
     if p < threshold - 1e-12:
         raise ValueError(
-            f"p={p} is below the quasi-contraction threshold "
-            f"2/(2-sqrt(delta)) = {threshold:.6g} for delta={delta}"
+            f"lp_p={p:g} is below the threshold 2/(2 - sqrt(delta)) = {threshold:.6g} "
+            f"for delta={delta}"
         )
+    return p
+
+
+def check_lp_contraction(traj, p, delta, c_delta, tol_rel=ANALYTIC_TOL):
+    """||u(t)||_p <= exp((c/(p sqrt(delta))) t) ||f||_p for p = lp_exponent(delta, p)."""
+    _require_clean(traj)
+    p = lp_exponent(delta, p)
     times = traj.snapshot_times
     lhs = np.array([lp_norm(traj.snapshot_u(i), p) for i in range(len(traj.snapshots))])
     norm_f = lhs[0]
@@ -207,7 +210,7 @@ def check_lp_contraction(traj, p, delta, c_delta, tol_rel=ANALYTIC_TOL):
         rhs=rhs,
         tol_rel=tol_rel,
         passed=_passes(lhs, rhs, tol_rel),
-        notes={"threshold": threshold, "rate": rate},
+        notes={"threshold": lp_threshold(delta), "rate": rate},
     )
 
 
@@ -218,7 +221,7 @@ def check_cosh_energy(traj, delta, c_delta, tol_rel=ANALYTIC_TOL):
     which cancels the time-integral term on the left.
     """
     _require_clean(traj)
-    rate = _growth_rate(delta, c_delta)
+    rate = growth_rate(delta, c_delta)
     if not math.isclose(traj.shift, rate, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError(
             f"trajectory was solved with shift={traj.shift}, but this check "
@@ -256,7 +259,7 @@ def check_exp_energy(traj, p, delta, c_delta, tol_rel=ANALYTIC_TOL):
     p = int(p)
     if p not in traj.p_list:
         raise ValueError(f"p={p} not among the trajectory's diagnostics {traj.p_list}")
-    rate = _growth_rate(delta, c_delta)
+    rate = growth_rate(delta, c_delta)
     exp_mod = traj.diag[f"exp_modular_p{p}"]
     disp = traj.diag[f"exp_disp_p{p}"]
     grad_exp = traj.diag[f"exp_gradexp_p{p}"]

@@ -61,10 +61,11 @@ def fast_drift_config(path, output_dir, **solver):
 
 
 def run_cli(*args):
-    """driftbound in a fresh process, so that a traceback shows on its stderr."""
+    """driftbound in a fresh process, so that a traceback shows on its stderr;
+    a warning is an error there, as it is in process under pytest."""
     src = str(Path(driftbound.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "driftbound.cli", *args],
+        [sys.executable, "-W", "error", "-m", "driftbound.cli", *args],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
@@ -449,6 +450,8 @@ class TestVerify:
             ("initial", {"terms": [[0.5, [True, 0, 0]]]}),
             ("drift", {"kind": "trig", "components": [[[0.5, [1.5, 0, 0]]], [], []]}),
             ("drift", {"kind": "trig", "components": [[[0.5, [True, 0, 0]]], [], []]}),
+            ("solver", {"p_list": [2, 4, 2]}),  # would write the p = 2 columns twice
+            ("drift", {"core_radius": 0}),  # divides by zero at the origin, a grid point
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):
@@ -537,6 +540,36 @@ class TestVerify:
         assert main([subcommand, "--config", str(cfg)]) == 2
         assert not out.exists()
         assert "config error: initial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["formbound", "mollify", "sde"])
+    @pytest.mark.parametrize(
+        "drift, key",
+        [
+            ({"kind": "bogus"}, "kind"),
+            ({"cutoff_radius": 0.0}, "cutoff_radius"),
+            ({"cutoff_radius": 0.5}, "cutoff_radius"),
+            ({"delta": 0.0}, "delta"),
+            ({"sign": 2}, "sign"),
+            ({"core_radius": -0.1}, "core_radius"),
+            ({"kind": "constant"}, "vector"),
+            ({"kind": "trig"}, "components"),
+            ({"kind": "file"}, "path"),
+        ],
+        ids=[
+            "bogus", "cutoff_0", "cutoff_half", "delta_0", "sign_2", "negative_core",
+            "no_vector", "no_components", "no_path",
+        ],
+    )
+    def test_bad_drift_is_config_error(self, tmp_path, capsys, subcommand, drift, key):
+        # DriftSpec checks its ranges and its source key when the experiment
+        # is built, so subcommands that never build the drift reject it too
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, drift=drift)
+        assert main([subcommand, "--config", str(cfg)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: drift: ") and key in err, err
 
     def test_overflowing_explicit_shift_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -877,7 +910,10 @@ class TestOtherPipelines:
         def seeds(name, *extra):
             out = tmp_path / name
             assert main(["sde", "--config", str(cfg), "--output", str(out), *extra]) == 0
-            return {row["seed"] for row in json.loads((out / "sde.json").read_text())["sweep"]}
+            used = {row["seed"] for row in json.loads((out / "sde.json").read_text())["sweep"]}
+            # the manifest records the seed the run used
+            assert {json.loads((out / "manifest.json").read_text())["seed"]} == used
+            return used
 
         assert seeds("cli", "--seed", "5") == {5}
         assert seeds("sde") == {3}

@@ -498,6 +498,7 @@ class TestErrors:
             {"dt": 1e-3, "t_final": 1.0, "shift": -1.0},
             {"dt": 1e-3, "t_final": 1.0, "scheme": "rk9"},
             {"dt": 1e-3, "t_final": 1.0, "p_list": (3,)},
+            {"dt": 1e-3, "t_final": 1.0, "p_list": (2, 4, 2.0)},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

@@ -23,6 +23,7 @@ from driftbound import (
     check_lp_contraction,
     check_orlicz_contraction,
     lp_norm,
+    lp_exponent,
     lp_threshold,
     mollify_drift,
     render_reports,
@@ -101,6 +102,11 @@ class TestLpContraction:
         assert lp_threshold(2.25) == pytest.approx(4.0)
         with pytest.raises(ValueError):
             lp_threshold(4.0)
+        # auto: the smallest even integer at or above the threshold
+        assert [lp_exponent(delta, "auto") for delta in (1.0, 2.0, 2.25)] == [2, 4, 4]
+        assert lp_exponent(2.0, 4) == 4.0
+        with pytest.raises(ValueError, match="lp_p=3 is below the threshold"):
+            lp_exponent(2.0, 3)  # below 2/(2 - sqrt(2)) = 3.41
 
     def test_below_threshold_rejected_with_value(self, grid1d):
         f = cos_datum(grid1d)
