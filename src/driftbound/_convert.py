@@ -1,6 +1,7 @@
 """Value conversion shared by the config dataclasses, and the CPU count that
 sizes every thread pool; imports nothing but the standard library."""
 
+import math
 import os
 from numbers import Integral
 
@@ -27,18 +28,24 @@ def integral(value, name):
 
 
 def real(value, name):
-    """``value`` as a float (0.5, 5 and '5e-4' pass); else ValueError naming ``name``.
+    """``value`` as a finite float (0.5, 5 and '5e-4' pass); else ValueError naming ``name``.
 
     The float counterpart of integral: YAML reads 5e-4 written without a dot
     as a string, which float() converts, and reads true as a bool, which
-    float() would take as 1.0, so a bool is rejected.
+    float() would take as 1.0, so a bool is rejected.  So are YAML's .nan and
+    .inf: a nan compares false with every bound, so it would pass each
+    range check, and an infinite t_final or cfl_safety would overflow a step
+    count or switch a guard off.
     """
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def whole_steps(t_final, dt):

@@ -233,6 +233,16 @@ def _checking(name):
         raise ConfigError(f"{name}: cannot read {exc.filename}: {exc.strerror or exc}") from exc
 
 
+def _seed(name, value):
+    try:
+        seed = integral(value, name)
+    except ValueError as exc:
+        raise ConfigError(exc) from None
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def _schedule(cfg, key):
     schedule = [real(e, key) for e in cfg[key]]
     if not schedule or schedule[-1] <= 0 or any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -361,15 +371,12 @@ class Experiment:
         with _checking("sde"):
             sde = _section(data, "sde")
             # The run's one seed, which only the SDE reads: --seed, else
-            # sde.seed, else experiment.seed, each named in its own error.
+            # sde.seed, else experiment.seed.  Every given source is checked,
+            # so whether a config is valid does not depend on the flag, and
+            # each is named in its own error.
             sources = [("--seed", seed), ("sde.seed", sde["seed"]), ("experiment.seed", exp["seed"])]
-            name, value = next(source for source in sources if source[1] is not None)
-            try:
-                self.seed = integral(value, name)
-            except ValueError as exc:
-                raise ConfigError(exc) from None
-            if self.seed < 0:
-                raise ConfigError(f"{name} must be >= 0, got {self.seed}")
+            seeds = [_seed(name, value) for name, value in sources if value is not None]
+            self.seed = seeds[0]
             # (base config, swept deltas); None when the config has no sde section
             self.sde = self._sde_sweep(sde) if data.get("sde") else None
 

@@ -24,11 +24,19 @@ row in the block and the delta index.  A step advances the set in chunks of
 at most _BLOCK rows through reused work buffers.  A path that hits
 is parked at radius 1e3, where it can neither hit nor flag dt_warning, and
 parked rows are compacted out once they make up more than 1/8 of the set.
+
+While a step advances the set, a drawer thread, which lives for one run,
+fills the next step's noise rows and crossing uniforms into the other of two
+buffer pairs.  The draws stay bitwise those of a serial run: Philox is
+counter-based, only the drawer calls the block's generator, and it makes the
+same calls in the same order.  numpy's generator fills and ufuncs release
+the GIL, so the draws overlap the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,6 +150,17 @@ def _block_stream(seed, block_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _draw(rng, noise, noise_t, crossing, scale):
+    """Fill one block-step's draws, in the order a serial run makes them:
+    the scaled noise rows and the crossing uniforms of the block's paths."""
+    size = len(noise)
+    rng.standard_normal(out=noise)
+    # the same products as scaling each gathered row
+    np.multiply(noise.T, scale, out=noise_t[:, :size])
+    rng.random(out=crossing[:size])
+    return noise_t, crossing
+
+
 def _sq_norms(x, out, sq, tmp):
     """Squared norms of the paths whose components are the rows of x.
 
@@ -177,79 +196,94 @@ def _simulate(base, configs):
     hit_counts = np.zeros(n_cfg + 1, dtype=np.int64)
     hit_times = np.zeros(n_cfg + 1)
     dt_warnings = np.zeros(n_cfg + 1, dtype=bool)
-    # work buffers, reused by every block, step and chunk
-    noise, noise_t = np.empty((_BLOCK, dim)), np.empty((dim, _BLOCK))
-    crossing, step = np.empty(_BLOCK), np.empty((dim, _BLOCK))
+    # the active set, built anew in the same buffers by every block and
+    # compacted in place: positions as component rows, radii, row in the
+    # block and config index (n_cfg for a parked path) of each path
+    m_max = n_cfg * min(_BLOCK, base.n_paths)
+    x_set, r_set = np.empty((dim, m_max)), np.empty(m_max)
+    rows_set = np.empty(m_max, dtype=np.int32)
+    which_set = np.empty(m_max, dtype=np.min_scalar_type(n_cfg))
+    # work buffers, reused by every block, step and chunk; the drawer fills
+    # one (noise_t, crossing) pair while the step reads the other
+    noise = np.empty((_BLOCK, dim))
+    draws = [(np.empty((dim, _BLOCK)), np.empty(_BLOCK)) for _ in range(2)]
+    step = np.empty((dim, _BLOCK))
     w, a, e, hits = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK, bool)
 
-    for block in range((base.n_paths + _BLOCK - 1) // _BLOCK):
-        size = min(_BLOCK, base.n_paths - block * _BLOCK)
-        rng = _block_stream(base.seed, block)
-        # the active set, compacted in place: positions as component rows, radii,
-        # row in the block and config index (n_cfg for a parked path) of each path
-        which = np.repeat(np.arange(n_cfg, dtype=np.min_scalar_type(n_cfg)), size)
-        rows = np.tile(np.arange(size, dtype=np.int32), n_cfg)
-        x, r = np.repeat(x0[:, None], len(rows), axis=1), np.repeat(r0, len(rows))
-        n_parked = 0
-        # per config: sum over this block's hits of the step that hit
-        hit_steps = np.zeros(n_cfg + 1, dtype=np.int64)
+    with ThreadPoolExecutor(1) as drawer:
+        for block in range((base.n_paths + _BLOCK - 1) // _BLOCK):
+            size = min(_BLOCK, base.n_paths - block * _BLOCK)
+            rng = _block_stream(base.seed, block)
+            m = n_cfg * size
+            x, r, rows, which = x_set[:, :m], r_set[:m], rows_set[:m], which_set[:m]
+            x[...], r[...] = x0[:, None], r0
+            rows.reshape(n_cfg, size)[...] = np.arange(size)
+            which.reshape(n_cfg, size)[...] = np.arange(n_cfg)[:, None]
+            n_parked = 0
+            # per config: sum over this block's hits of the step that hit
+            hit_steps = np.zeros(n_cfg + 1, dtype=np.int64)
 
-        for k in range(base.n_steps):
-            rng.standard_normal(out=noise[:size])
-            # the same products as scaling each gathered row
-            np.multiply(noise[:size].T, noise_scale, out=noise_t[:, :size])
-            rng.random(out=crossing[:size])
-            for s in range(0, len(rows), _BLOCK):
-                chunk = slice(s, s + _BLOCK)
-                xc, rc, rowc = x[:, chunk], r[chunk], rows[chunk]
-                n = len(rowc)
-                st, wc, ac, ec, hc = step[:, :n], w[:n], a[:n], e[:n], hits[:n]
-                # step = noise + (coeff dt / max(r, r_core)^2) x
-                np.square(np.maximum(rc, base.r_core, out=ac), out=ac)
-                np.divide(np.take(coeff_dt, which[chunk], out=wc), ac, out=wc)
-                for i in range(dim):
-                    np.take(noise_t[i], rowc, out=st[i], mode="clip")
-                    st[i] += np.multiply(wc, xc[i], out=ec)
-                xc += st
-                # a step with every component inside jump_limit / dim is
-                # shorter than jump_limit, so the norms are rarely needed
-                if not dt_warnings[:n_cfg].all() and max(st.max(), -st.min()) >= jump_limit / dim:
-                    far = _sq_norms(st, ec, st, wc) > jump_limit * jump_limit
-                    dt_warnings[which[chunk][far]] = True
-                np.maximum(np.subtract(rc, r_hit, out=ac), 0.0, out=ac)
-                np.sqrt(_sq_norms(xc, rc, st, ec), out=rc)
-                np.less_equal(rc, r_hit, out=hc)
-                # tangent-plane Brownian bridge: the normal component has
-                # variance 2 dt, so the crossing probability from signed
-                # distances (a, b) is exp(-a b / dt).  exp gives 0.0 below
-                # -746, which no uniform draw undercuts, and is slow where
-                # it underflows, so only the paths above take it
-                np.maximum(np.subtract(rc, r_hit, out=ec), 0.0, out=ec)
-                ec *= ac
-                ec /= dt
-                near = np.flatnonzero(ec < 746.0)
-                with np.errstate(under="ignore"):
-                    p_cross = np.exp(-ec[near])
-                hc[near[crossing[rowc[near]] < p_cross]] = True
-                hit = np.flatnonzero(hc)
-                if len(hit):
-                    hit += s
-                    counts = np.bincount(which[hit], minlength=n_cfg + 1)
-                    hit_counts += counts
-                    hit_steps += counts * (k + 1)
-                    # parked at radius 1e3: never near the sphere, so it never hits again
-                    x[0, hit], x[1:, hit], r[hit] = 1e3, 0.0, 1e3
-                    which[hit] = n_cfg
-                    n_parked += len(hit)
-            if 8 * n_parked > len(rows):
-                live, m = which != n_cfg, len(rows) - n_parked
-                for v in (*x, r, rows, which):
-                    v[:m] = v[live]
-                x, r, rows, which = x[:, :m], r[:m], rows[:m], which[:m]
-                n_parked = 0
-                if not m:
-                    break
-        hit_times += hit_steps * dt
+            raw = noise[:size]
+            pending = drawer.submit(_draw, rng, raw, *draws[0], noise_scale)
+            for k in range(base.n_steps):
+                noise_t, crossing = pending.result()
+                if k + 1 < base.n_steps:
+                    pending = drawer.submit(_draw, rng, raw, *draws[(k + 1) % 2], noise_scale)
+                for s in range(0, len(rows), _BLOCK):
+                    chunk = slice(s, s + _BLOCK)
+                    xc, rc, rowc = x[:, chunk], r[chunk], rows[chunk]
+                    n = len(rowc)
+                    st, wc, ac, ec, hc = step[:, :n], w[:n], a[:n], e[:n], hits[:n]
+                    # step = noise + (coeff dt / max(r, r_core)^2) x
+                    np.square(np.maximum(rc, base.r_core, out=ac), out=ac)
+                    np.divide(np.take(coeff_dt, which[chunk], out=wc), ac, out=wc)
+                    for i in range(dim):
+                        np.take(noise_t[i], rowc, out=st[i], mode="clip")
+                        st[i] += np.multiply(wc, xc[i], out=ec)
+                    xc += st
+                    # a step with every component inside jump_limit / dim is
+                    # shorter than jump_limit, so the norms are rarely needed
+                    if not dt_warnings[:n_cfg].all() and (
+                        max(st.max(), -st.min()) >= jump_limit / dim
+                    ):
+                        far = _sq_norms(st, ec, st, wc) > jump_limit * jump_limit
+                        dt_warnings[which[chunk][far]] = True
+                    np.maximum(np.subtract(rc, r_hit, out=ac), 0.0, out=ac)
+                    np.sqrt(_sq_norms(xc, rc, st, ec), out=rc)
+                    np.less_equal(rc, r_hit, out=hc)
+                    # tangent-plane Brownian bridge: the normal component has
+                    # variance 2 dt, so the crossing probability from signed
+                    # distances (a, b) is exp(-a b / dt).  exp gives 0.0 below
+                    # -746, which no uniform draw undercuts, and is slow where
+                    # it underflows, so only the paths above take it
+                    np.maximum(np.subtract(rc, r_hit, out=ec), 0.0, out=ec)
+                    ec *= ac
+                    ec /= dt
+                    near = np.flatnonzero(ec < 746.0)
+                    with np.errstate(under="ignore"):
+                        p_cross = np.exp(-ec[near])
+                    hc[near[crossing[rowc[near]] < p_cross]] = True
+                    hit = np.flatnonzero(hc)
+                    if len(hit):
+                        hit += s
+                        counts = np.bincount(which[hit], minlength=n_cfg + 1)
+                        hit_counts += counts
+                        hit_steps += counts * (k + 1)
+                        # parked at radius 1e3: never near the sphere, so it never hits again
+                        x[0, hit], x[1:, hit], r[hit] = 1e3, 0.0, 1e3
+                        which[hit] = n_cfg
+                        n_parked += len(hit)
+                if 8 * n_parked > len(rows):
+                    live, m = which != n_cfg, len(rows) - n_parked
+                    for v in (*x, r, rows, which):
+                        v[:m] = v[live]
+                    x, r, rows, which = x[:, :m], r[:m], rows[:m], which[:m]
+                    n_parked = 0
+                    if not m:
+                        break
+            # the next block's first draw must not overwrite a pair still being filled
+            pending.result()
+            hit_times += hit_steps * dt
 
     return [
         HittingStats(

@@ -185,7 +185,8 @@ def lp_exponent(delta, p):
     threshold = lp_threshold(delta)
     if p == "auto":
         return max(2, 2 * math.ceil(threshold / 2))
-    p = real(p, "lp_p")
+    # p = inf is the bound's limit p -> oo, ||u(t)||_inf <= ||f||_inf
+    p = math.inf if p == math.inf else real(p, "lp_p")
     if p < threshold - 1e-12:
         raise ValueError(
             f"lp_p={p:g} is below the threshold 2/(2 - sqrt(delta)) = {threshold:.6g} "

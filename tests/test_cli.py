@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -452,6 +453,18 @@ class TestVerify:
             ("drift", {"kind": "trig", "components": [[[0.5, [True, 0, 0]]], [], []]}),
             ("solver", {"p_list": [2, 4, 2]}),  # would write the p = 2 columns twice
             ("drift", {"core_radius": 0}),  # divides by zero at the origin, a grid point
+            # YAML's .nan passes every range check, and .inf overflows a step
+            # count or switches a guard off
+            ("sde", {"r_hit": math.nan}),
+            ("sde", {"r_core": math.nan}),
+            ("sde", {"x0": [math.nan, 0.0, 0.0]}),
+            ("sde", {"t_final": math.inf}),
+            ("solver", {"t_final": math.inf}),
+            ("solver", {"cfl_safety": math.inf}),
+            ("solver", {"dt": -math.inf}),
+            ("drift", {"delta": math.nan}),
+            ("verifier", {"c_delta": math.inf}),
+            ("initial", {"kind": "constant", "value": math.nan}),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):
@@ -464,9 +477,10 @@ class TestVerify:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"config error: {section}" in err
-        # a YAML boolean is named by the key that holds it
+        # a YAML boolean, .nan or .inf is named by the key that holds it
         for key, value in edit.items():
-            if any(v is True for v in (value if isinstance(value, list) else [value])):
+            values = value if isinstance(value, list) else [value]
+            if any(v is True or (isinstance(v, float) and not math.isfinite(v)) for v in values):
                 assert f"{key} must be" in err, err
 
     def test_integer_key_in_exponent_form(self, tmp_path):
@@ -822,6 +836,14 @@ class TestOtherPipelines:
         payload = json.loads((out / "sde.json").read_text())
         assert [row["delta"] for row in payload["sweep"]] == [0.5, 36.0]
 
+    def test_sde_leaves_no_thread_behind(self, tmp_path):
+        # the noise drawer lives only as long as the sweep
+        cfg = tmp_path / "cfg.yaml"
+        data = write_config(cfg, tmp_path / "run", sde={"n_paths": 17000})
+        before = threading.active_count()
+        assert cli.run("sde", data) == 0
+        assert threading.active_count() == before
+
     def test_sde_verdict_does_not_depend_on_the_order(self, tmp_path):
         # coupled paths; the files keep the config's order, the verdict reads
         # the hit fractions in delta order
@@ -919,6 +941,25 @@ class TestOtherPipelines:
         assert seeds("sde") == {3}
         write_config(cfg, tmp_path / "ignored", experiment={"seed": 2})
         assert seeds("experiment") == {2}
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"experiment": {"seed": -1}}, "experiment.seed must be >= 0, got -1"),
+            ({"sde": {"seed": -1}}, "sde.seed must be >= 0, got -1"),
+            ({"sde": {"seed": 2.5}}, "sde.seed must be an integer, got 2.5"),
+        ],
+        ids=["experiment.seed", "sde.seed", "sde.seed-fraction"],
+    )
+    @pytest.mark.parametrize("subcommand", ["norm", "sde"])
+    def test_unused_seed_source_is_still_checked(self, tmp_path, capsys, bad, message, subcommand):
+        # --seed wins, but a bad seed it overrides still makes the config invalid
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, **bad)
+        assert main([subcommand, "--config", str(cfg), "--seed", "3"]) == 2
+        assert not out.exists()
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,6 +58,21 @@ class TestConfigValidation:
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):
             base_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("r_hit", math.nan),  # would compare false with every bound and never hit
+            ("r_core", math.nan),
+            ("x0", (math.nan, 0.0, 0.0)),
+            ("t_final", math.inf),  # would overflow the step count
+            ("dt", math.nan),
+            ("delta", math.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            base_config(**{key: value})
 
 
 class TestSimulate:
@@ -164,6 +180,46 @@ class TestDeltaSweep:
         fwd = delta_sweep(base, [0.5, 4.0])
         rev = delta_sweep(base, [4.0, 0.5])
         assert fwd[0] == rev[1] and fwd[1] == rev[0]
+
+
+class TestDrawer:
+    """The noise of step k + 1 is drawn on a second thread during step k."""
+
+    def test_every_path_hits_before_the_last_step(self):
+        # every path of both blocks hits in its first step, so each block
+        # leaves its step loop with the second step's draw pending
+        cfg = base_config(
+            r_hit=0.011,
+            r_core=0.01,
+            dt=3e-4,
+            t_final=0.015,
+            x0=(0.0110001, 0.0, 0.0),
+            n_paths=17000,
+            seed=0,
+        )
+        assert [repr(s) for s in delta_sweep(cfg, [0.0, 1e-3])] == [
+            frozen(0.0, 17000, 17000, 0.0003, 0, True),
+            frozen(1e-3, 17000, 17000, 0.0003, 0, True),
+        ]
+
+    def test_multi_block_sweep(self):
+        # values of the engine that drew every step on the calling thread;
+        # 40000 paths span two full blocks and a partial one
+        sweep = delta_sweep(base_config(dt=1e-4, n_paths=40000, seed=9), [0.0, 4.0, 36.0])
+        assert [repr(s) for s in sweep] == [
+            frozen(0.0, 12252, 40000, 0.00877505713352922, 9),
+            frozen(4.0, 15136, 40000, 0.008760934196617337, 9),
+            frozen(36.0, 21259, 40000, 0.008600188155604687, 9),
+        ]
+
+    def test_concurrent_sweeps_match_serial_ones(self):
+        runs = [
+            (base_config(dt=1e-4, n_paths=17000, seed=3), [0.0, 4.0]),
+            (base_config(dt=1e-4, n_paths=5000, seed=8, sign=1), [0.5, 36.0]),
+        ]
+        serial = [delta_sweep(*run) for run in runs]
+        with ThreadPoolExecutor(2) as pool:
+            assert list(pool.map(lambda run: delta_sweep(*run), runs)) == serial
 
 
 def battery_config(**overrides):

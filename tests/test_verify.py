@@ -107,6 +107,10 @@ class TestLpContraction:
         assert lp_exponent(2.0, 4) == 4.0
         with pytest.raises(ValueError, match="lp_p=3 is below the threshold"):
             lp_exponent(2.0, 3)  # below 2/(2 - sqrt(2)) = 3.41
+        # p = inf is the bound's limit, the maximum principle; nan is no exponent
+        assert lp_exponent(2.0, math.inf) == math.inf
+        with pytest.raises(ValueError, match="lp_p must be finite"):
+            lp_exponent(2.0, math.nan)
 
     def test_below_threshold_rejected_with_value(self, grid1d):
         f = cos_datum(grid1d)
