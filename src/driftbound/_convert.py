@@ -49,8 +49,12 @@ def real(value, name):
 
 
 def whole_steps(t_final, dt):
-    """The number of steps of dt in t_final; ValueError unless it is whole and >= 1."""
-    n_steps = int(round(t_final / dt))
+    """The number of steps of dt in t_final; ValueError unless it is whole and >= 1.
+
+    A ratio that overflows to inf counts as 0 steps, so it gets the same error.
+    """
+    ratio = t_final / dt
+    n_steps = int(round(ratio)) if math.isfinite(ratio) else 0
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
         raise ValueError(f"t_final={t_final} must be a whole number of steps of dt={dt}")
     return n_steps

@@ -15,11 +15,12 @@ One YAML config file describes an experiment; subcommands run slices of it:
     all        verify + sde
 
 Every config key and its default live in DEFAULTS, which takes the drift,
-solver and sde defaults from their dataclasses, and a config error (exit 2)
-is raised before any file is written.  Every other run, a runtime
-failure (exit 3) included, writes a manifest.json listing each file the run
-wrote with its sha256 digest, the exit status, the config digest, tool
-version and timestamps; a failure to write outputs is a runtime failure too.
+solver and sde defaults from their dataclasses and the formbound defaults
+from form_bound_estimate, and a config error (exit 2) is raised before any
+file is written.  Every other run, a runtime failure (exit 3) included,
+writes a manifest.json listing each file the run wrote with its sha256
+digest, the exit status, the config digest, tool version and timestamps; a
+failure to write outputs is a runtime failure too.
 Warnings go to the "driftbound" logger, which the command line prints to
 stderr.
 Report files themselves carry no timestamps, so identical configs and seeds
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -164,25 +166,30 @@ def _fields(cls, **overrides):
     return {**{f.name: f.default for f in dataclasses.fields(cls)}, **overrides}
 
 
+def _keywords(fn):
+    """The DEFAULTS section of function fn: its parameters that have defaults."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
 # The config schema: every key and its default; any other key is a config
 # error.  The drift, solver and sde sections (sde less deltas) go whole to
 # DriftSpec, SolverConfig and SdeConfig, so their keys and defaults are those
 # classes' fields, except three the config derives: solver.shift's auto is
 # c_delta / sqrt(delta), sde.seed's null is experiment.seed and sde.deltas'
-# null is [sde.delta].  None marks a value that is optional or derived: the
+# null is [sde.delta].  The formbound section goes whole to
+# form_bound_estimate as its keyword arguments, so its keys and defaults are
+# those parameters'.  None marks a value that is optional or derived: the
 # drift's vector, components and path, and the initial value and path, are
 # read only by their kind; core_radius defaults to two grid spacings,
-# schedule_b to half of each schedule entry, c_values to [1.2, 2, 4, 8] *
-# <|b|^2> and initial.terms to one cosine along the first axis.
-# formbound.rq_tol is the relative eigen-residual ||A psi - rho psi|| / |rho|
-# a form-bound certificate must reach to count as converged, and
-# formbound.max_iter caps its operator applications.
+# schedule_b to half of each schedule entry and initial.terms to one cosine
+# along the first axis.
 DEFAULTS = {
     "experiment": {"seed": 0, "output_dir": "runs/demo", "tolerance_tier": "singular"},
     "grid": {"dim": REQUIRED, "n": REQUIRED},
     "drift": _fields(DriftSpec),
     "mollification": {"schedule": [1.0e-2, 2.5e-3, 6.25e-4, 1.5625e-4], "schedule_b": None},
-    "formbound": {"c_values": None, "max_iter": 5000, "rq_tol": 1.0e-10},
+    "formbound": _keywords(form_bound_estimate),
     "initial": {"kind": "trig", "terms": None, "value": None, "path": None},
     "solver": _fields(SolverConfig, shift="auto"),
     "verifier": {
@@ -479,24 +486,16 @@ def pipeline_norm(exp):
     return True
 
 
-def _form_bound_sweep(exp, b):
-    """(<|b|^2>, the form-bound certificates of drift b at the formbound budgets)."""
-    mean_sq = exp.grid.cell_volume * float(b.magnitude_squared().sum())
-    c_values = exp.formbound["c_values"]
-    if c_values is None:
-        c_values = [k * mean_sq for k in (1.2, 2.0, 4.0, 8.0)]
-    certs = form_bound_estimate(
-        b, c_values, max_iter=exp.formbound["max_iter"], rq_tol=exp.formbound["rq_tol"]
-    )
-    return mean_sq, certs
+def pipeline_formbound(exp):
+    b = exp.build_drift()
+    return _write_certificates(exp, b, form_bound_estimate(b, **exp.formbound))
 
 
-def pipeline_formbound(exp, sweep):
-    """Write certificates.json from a _form_bound_sweep; True iff every
-    certificate is feasible and converged."""
-    mean_sq, certs = sweep
+def _write_certificates(exp, b, certs):
+    """Write certificates.json from the form-bound certificates of drift b;
+    True iff every certificate is feasible and converged."""
     payload = {
-        "mean_square_drift": mean_sq,
+        "mean_square_drift": b.mean_square(),
         "certificates": [c.to_json() for c in certs],
     }
     exp.emit_json("certificates.json", payload)
@@ -603,17 +602,17 @@ def pipeline_verify(exp):
     finest_index = len(members) - 1
     pool = ThreadPoolExecutor(min(len(schedule), usable_cpus()))
     try:
-        sweep = pool.submit(_form_bound_sweep, exp, b)
+        sweep = pool.submit(form_bound_estimate, b, **exp.formbound)
         delta, c_delta, config = exp.check_parameters(b)
 
         def solve_member(i):
             b_eps = mollify_drift(b, schedule[i])
-            mean_square = exp.grid.cell_volume * float(b_eps.magnitude_squared().sum())
+            mean_square = b_eps.mean_square()
             return solve(b_eps, f, config, diagnostics=i == finest_index), mean_square
 
         order = sorted(range(len(schedule)), key=lambda i: i != finest_index)
         futures = {i: pool.submit(solve_member, i) for i in order}
-        certified = pipeline_formbound(exp, sweep.result())
+        certified = _write_certificates(exp, b, sweep.result())
         solved, mean_squares = zip(*(futures[i].result() for i in range(len(schedule))))
         for traj, eps in zip(solved, schedule):
             if traj.aborted:
@@ -676,7 +675,7 @@ def pipeline_sde(exp):
 
 PIPELINES = {
     "norm": pipeline_norm,
-    "formbound": lambda exp: pipeline_formbound(exp, _form_bound_sweep(exp, exp.build_drift())),
+    "formbound": pipeline_formbound,
     "mollify": pipeline_mollify,
     "solve": pipeline_solve,
     "verify": pipeline_verify,
@@ -740,8 +739,12 @@ def main(argv=None):
         if target.exists() and not args.force:
             print(f"{target} exists; use --force to overwrite", file=sys.stderr)
             return 2
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(TEMPLATE)
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(TEMPLATE)
+        except OSError as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 3
         print(f"wrote {target}")
         return 0
 

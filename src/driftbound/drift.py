@@ -157,10 +157,10 @@ class FormBoundCertificate:
 
     c_delta: float
     delta_hat: float
-    witness: Optional[ScalarField]
-    residual: float
-    iterations: int
-    converged: bool
+    witness: Optional[ScalarField] = None
+    residual: float = 0.0
+    iterations: int = 0
+    converged: bool = True
     feasible: bool = True
     rayleigh_quotient: float = 0.0
 
@@ -226,20 +226,24 @@ def _top_eigenpair(apply, precondition, x0, tol, max_iter):
     return rho, x, residual, residual <= tol and fresh, applications
 
 
-def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10):
+def form_bound_estimate(b, c_values=None, max_iter=5000, rq_tol=1e-10):
     """Estimate delta_hat(c) for each budget c with the eigen-engine.
 
-    Returns one FormBoundCertificate per entry of c_values, in order.  Every
+    Returns one FormBoundCertificate per entry of c_values, in order; None
+    gives the budgets [1.2, 2, 4, 8] * <|b|^2>.  The config's formbound
+    section is these keyword arguments, with these defaults.  Every
     eigen-solve starts from cos(2 pi x) plus noise from default_rng(0), as
     zeroth_order_constant's does, so no certificate depends on a seed.  Budgets
     below <|b|^2> are reported infeasible.  Budgets at or above max|b|^2 give
     delta_hat = 0 exactly, with no eigen-solve and no witness.  A pair not
-    confirmed within rq_tol after max_iter operator applications is returned
-    with converged False.
+    confirmed within rq_tol, the relative eigen-residual, after max_iter
+    operator applications is returned with converged False.
     """
     grid = b.grid
     b_sq = b.magnitude_squared()
-    mean_b_sq = grid.cell_volume * float(b_sq.sum())
+    mean_b_sq = b.mean_square()
+    if c_values is None:
+        c_values = [k * mean_b_sq for k in (1.2, 2.0, 4.0, 8.0)]
     top = float(b_sq.max())
     sym = grid.dirichlet_symbol
     # L^(-1/2) on mean-zero, Nyquist-free fields; zero on the other modes
@@ -254,55 +258,31 @@ def form_bound_estimate(b, c_values, max_iter=5000, rq_tol=1e-10):
     start = np.cos(2.0 * np.pi * x0) + 1e-3 * rng.standard_normal(grid.shape)
     start = irfftn(np.where(sym > 0, rfftn(start), 0.0), grid.shape)
 
-    certificates = []
-    for c in c_values:
-        c = float(c)
+    def certify(c):
         if c < mean_b_sq * (1.0 - 1e-12):
-            certificates.append(
-                FormBoundCertificate(
-                    c_delta=c,
-                    delta_hat=math.inf,
-                    witness=None,
-                    residual=math.nan,
-                    iterations=0,
-                    converged=False,
-                    feasible=False,
-                )
-            )
-            continue
+            return FormBoundCertificate(c, math.inf, residual=math.nan, converged=False, feasible=False)
         if c >= top:
             # M - c <= 0 pointwise, so delta_hat(c) = 0 exactly.  The eigen-solve
             # could not confirm it: its iterate sinks into the null space of
             # L^(-1/2), where rho -> 0 and the relative residual cannot fall.
-            certificates.append(
-                FormBoundCertificate(
-                    c_delta=c,
-                    delta_hat=0.0,
-                    witness=None,
-                    residual=0.0,
-                    iterations=0,
-                    converged=True,
-                )
-            )
-            continue
+            return FormBoundCertificate(c, 0.0)
         multiplier = b_sq - c
         rho, psi, residual, converged, iterations = _top_eigenpair(
             lambda phi: inverse_sqrt(multiplier * inverse_sqrt(phi)), None, start, rq_tol, max_iter
         )
         witness = inverse_sqrt(psi)
         witness /= math.sqrt(grid.cell_volume * float((witness**2).sum()))
-        certificates.append(
-            FormBoundCertificate(
-                c_delta=c,
-                delta_hat=max(rho, 0.0),
-                witness=ScalarField(grid, witness),
-                residual=residual,
-                iterations=iterations,
-                converged=converged,
-                rayleigh_quotient=rho,
-            )
+        return FormBoundCertificate(
+            c_delta=c,
+            delta_hat=max(rho, 0.0),
+            witness=ScalarField(grid, witness),
+            residual=residual,
+            iterations=iterations,
+            converged=converged,
+            rayleigh_quotient=rho,
         )
-    return certificates
+
+    return [certify(float(c)) for c in c_values]
 
 
 def zeroth_order_constant(b, delta, tol=1e-9):
@@ -340,7 +320,7 @@ def zeroth_order_constant(b, delta, tol=1e-9):
             f"c(delta) eigen-solve for delta={delta} stopped at relative residual "
             f"{residual:.3g} > {tol:g} after {applications} operator applications"
         )
-    return max(rho, grid.cell_volume * float(b_sq.sum()))
+    return max(rho, b.mean_square())
 
 
 def verify_form_bound(b, delta, c_delta, trials):
@@ -358,7 +338,7 @@ def verify_form_bound(b, delta, c_delta, trials):
             raise ValueError("trial grid does not match drift grid")
         grad = gradient(phi)
         weighted = float((b_sq * phi.values**2).sum()) * b.grid.cell_volume
-        dirichlet = float(grad.magnitude_squared().sum()) * b.grid.cell_volume
+        dirichlet = grad.mean_square()
         mass = float((phi.values**2).sum()) * b.grid.cell_volume
         worst = max(worst, weighted - delta * dirichlet - c_delta * mass)
     return worst

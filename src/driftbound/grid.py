@@ -246,6 +246,10 @@ class VectorField:
             out += c.values**2
         return out
 
+    def mean_square(self):
+        """<|b|^2>, the quadrature mean of the squared magnitude."""
+        return self.grid.cell_volume * float(self.magnitude_squared().sum())
+
     def max_magnitude(self):
         return float(np.sqrt(self.magnitude_squared().max()))
 

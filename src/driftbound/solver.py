@@ -21,10 +21,10 @@ read those snapshots.
 
 The advection transforms only the slab of the spectrum that the two-thirds
 mask keeps (grid.rfftn and irfftn with their slab arguments).  n1, n2 and
-the RK2 predictor are slabs.  The update multiplies the whole spectrum by
-the integrating factor and subtracts on the slab only, since n1 and n2 are
-zero beyond it, so every nonzero mode sees the operations of the
-full-spectrum step, in its order.
+the predictor are slabs.  The update multiplies the whole spectrum by the
+integrating factor and then, on the slab only, writes the predictor (Euler)
+or subtracts RK2's correction, since n1 and n2 are zero beyond it, so every
+nonzero mode sees the operations of the full-spectrum step, in its order.
 
 A step allocates no elementwise temporaries: the advection sum, the
 RK2/Euler update, the Parseval sum and the diagnostics write with in-place
@@ -217,9 +217,9 @@ def solve(b_smooth, f, config, diagnostics=True):
     n_steps = config.n_steps
 
     factor = np.exp(config.dt * (grid.laplace_symbol - config.shift))
-    # The slab: the first `lines` lines of the halved last axis, k_last <=
-    # n//3, the only ones on which the mask keeps a mode.
-    lines = grid.n // 3 + 1
+    # The slab: the first `lines` lines of the halved last axis, the only
+    # ones on which the mask keeps a mode.
+    lines = int(np.count_nonzero(mask.any(axis=tuple(range(grid.dim - 1)))))
     slab_mask = mask[..., :lines]
     slab_factor = factor[..., :lines]
     # (g * mask)[..., :lines], formed on the slab only
@@ -306,27 +306,23 @@ def solve(b_smooth, f, config, diagnostics=True):
         # spectrum is a solve-owned array (the datum's transform, then updated
         # only here), so the step overwrites it in place
         with np.errstate(over="ignore", invalid="ignore"):
-            if not advect:
-                np.multiply(factor, spectrum, out=spectrum)
-            elif config.scheme == "if_euler":
-                # spectrum = factor * (spectrum - dt * n1), n1 zero beyond the slab
-                advection(slab, n1)
-                np.multiply(config.dt, n1, out=n1)
-                slab -= n1
-                np.multiply(factor, spectrum, out=spectrum)
-            else:
-                # predictor = factor * (spectrum - dt * n1)
-                # spectrum = factor * spectrum - 0.5 * dt * (factor * n1 + n2)
-                # with n1, n2 zero beyond the slab and the predictor read on it
+            if advect:
+                # predictor = factor * (spectrum - dt * n1): Euler's step and
+                # RK2's first stage, with n1 zero beyond the slab
                 advection(slab, n1)
                 np.multiply(config.dt, n1, out=predictor)
                 np.subtract(slab, predictor, out=predictor)
                 np.multiply(slab_factor, predictor, out=predictor)
+            np.multiply(factor, spectrum, out=spectrum)
+            if advect and config.scheme == "if_euler":
+                slab[...] = predictor
+            elif advect:
+                # spectrum = factor * spectrum - 0.5 * dt * (factor * n1 + n2),
+                # with n2 the predictor's advection
                 n2 = advection(predictor, predictor)
                 np.multiply(slab_factor, n1, out=n1)
                 n1 += n2
                 np.multiply(0.5 * config.dt, n1, out=n1)
-                np.multiply(factor, spectrum, out=spectrum)
                 slab -= n1
         if not np.all(np.isfinite(spectrum.view(float))):
             abort_message = f"non-finite state after step {k + 1} (t={times[k + 1]:.6g})"

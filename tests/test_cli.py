@@ -131,6 +131,15 @@ class TestInit:
         assert target.read_text() == "keep: me\n"
         assert main(["init", "--config", str(target), "--force"]) == 0
 
+    def test_unwritable_path_is_runtime_error(self, tmp_path):
+        # the parent directory cannot be made: a file holds its name
+        (tmp_path / "existing_file").write_text("keep\n")
+        result = run_cli("init", "--config", str(tmp_path / "existing_file" / "x.yaml"))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("runtime error: ")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+
 
 class TestConfigSchema:
     def test_exponent_spelled_floats_build_the_same_experiment(self, tmp_path):
@@ -465,6 +474,10 @@ class TestVerify:
             ("drift", {"delta": math.nan}),
             ("verifier", {"c_delta": math.inf}),
             ("initial", {"kind": "constant", "value": math.nan}),
+            # t_final / dt overflows to inf, which has no whole step count
+            ("solver", {"dt": 1.0e-320}),
+            ("sde", {"dt": 1.0e-320}),
+            ("solver", {"t_final": 1.0e300, "dt": 1.0e-10}),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):

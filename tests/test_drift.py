@@ -37,6 +37,11 @@ def mean_sq(b):
     return b.grid.cell_volume * float(b.magnitude_squared().sum())
 
 
+def test_mean_square_is_the_integral_of_the_squared_magnitude(grid3d):
+    b = hardy(grid3d)
+    assert b.mean_square() == integrate(ScalarField(grid3d, b.magnitude_squared()))
+
+
 class TestBuildDrift:
     def test_constant(self, grid3d):
         b = build_drift(DriftSpec(kind="constant", vector=(0.7, 0.0, 0.0)), grid3d)
@@ -226,6 +231,16 @@ class TestFormBoundEstimate:
         values = [c.delta_hat for c in certs]
         for hi, lo in zip(values, values[1:]):
             assert lo <= hi + 1e-10
+
+    def test_default_budgets_are_multiples_of_the_mean_square(self):
+        b = hardy(TorusGrid(3, 16))
+        defaults = form_bound_estimate(b)
+        given = form_bound_estimate(b, [k * b.mean_square() for k in (1.2, 2, 4, 8)])
+        assert len(defaults) == len(given) == 4
+        for cert, other in zip(defaults, given):
+            assert cert.to_json() == other.to_json()
+            assert cert.rayleigh_quotient == other.rayleigh_quotient
+            assert np.array_equal(cert.witness.values, other.witness.values)
 
     def test_sign_does_not_matter(self):
         grid = TorusGrid(3, 32)

@@ -53,6 +53,7 @@ class TestConfigValidation:
             {"sign": 2},
             {"delta": 1e6, "dt": 1e-3},  # dt * drift cap beyond r_hit/10
             {"t_final": 0.02, "dt": 3e-5},  # not a whole number of steps
+            {"dt": 1e-320},  # t_final / dt overflows to inf
         ],
     )
     def test_rejected(self, overrides):

@@ -499,6 +499,7 @@ class TestErrors:
             {"dt": 1e-3, "t_final": 1.0, "scheme": "rk9"},
             {"dt": 1e-3, "t_final": 1.0, "p_list": (3,)},
             {"dt": 1e-3, "t_final": 1.0, "p_list": (2, 4, 2.0)},
+            {"dt": 1e-320, "t_final": 0.05},  # t_final / dt overflows to inf
         ],
     )
     def test_bad_config_rejected(self, kwargs):
