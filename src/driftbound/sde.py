@@ -20,17 +20,20 @@ active.  Results are therefore bitwise reproducible, independent of
 scheduling, and pathwise coupled across parameter sweeps that share a seed.
 A sweep draws each block-step's noise once, and one active set holds a
 block's live paths for every delta: positions as component rows, radii, the
-row in the block and the delta index.  A step advances the set in chunks of
-at most _BLOCK rows through reused work buffers.  A path that hits
-is parked at radius 1e3, where it can neither hit nor flag dt_warning, and
-parked rows are compacted out once they make up more than 1/8 of the set.
+path's drift coefficient times dt, the row in the block and the delta index.
+A step advances the set in chunks of at most _BLOCK rows through reused work
+buffers.  A path that hits is parked at radius 1e3 with coefficient 0, where
+it can neither hit nor flag dt_warning, and parked rows are compacted out
+once they make up more than 1/8 of the set.
 
 While a step advances the set, a drawer thread, which lives for one run,
 fills the next step's noise rows and crossing uniforms into the other of two
-buffer pairs.  The draws stay bitwise those of a serial run: Philox is
-counter-based, only the drawer calls the block's generator, and it makes the
-same calls in the same order.  numpy's generator fills and ufuncs release
-the GIL, so the draws overlap the arithmetic.
+buffer pairs, and bounds that step's noise.  The draws stay bitwise those of
+a serial run: Philox is counter-based, only the drawer calls the block's
+generator, and it makes the same calls in the same order.  numpy's generator
+fills and ufuncs release the GIL, so the draws overlap the arithmetic.  A
+step whose noise bound plus the drift cap stays well inside the dt_warning
+limit cannot flag, so its chunks skip the search for a long step.
 """
 
 from __future__ import annotations
@@ -152,13 +155,15 @@ def _block_stream(seed, block_index):
 
 def _draw(rng, noise, noise_t, crossing, scale):
     """Fill one block-step's draws, in the order a serial run makes them:
-    the scaled noise rows and the crossing uniforms of the block's paths."""
+    the scaled noise rows and the crossing uniforms of the block's paths.
+    Also return the largest |component| of the scaled noise."""
     size = len(noise)
     rng.standard_normal(out=noise)
     # the same products as scaling each gathered row
     np.multiply(noise.T, scale, out=noise_t[:, :size])
     rng.random(out=crossing[:size])
-    return noise_t, crossing
+    # scaling by a positive number keeps the order, so this is the scaled maximum
+    return noise_t, crossing, max(noise.max(), -noise.min()) * scale
 
 
 def _sq_norms(x, out, sq, tmp):
@@ -187,9 +192,9 @@ def _simulate(base, configs):
     n_cfg, dim, dt, r_hit = len(configs), base.dim, base.dt, base.r_hit
     noise_scale = math.sqrt(2.0 * dt)
     jump_limit = 10.0 * r_hit
-    # coeff * dt by config index; a parked path's is 0
-    coeff_dt = [hardy_coefficient(c.delta, c.dim, c.sign) * dt for c in configs]
-    coeff_dt = np.array(coeff_dt + [0.0])
+    coeff_dt = np.array([hardy_coefficient(cfg.delta, cfg.dim, cfg.sign) * dt for cfg in configs])
+    # no drift component exceeds |coeff dt| |x| / max(r, r_core)^2 <= |coeff dt| / r_core
+    drift_cap = np.abs(coeff_dt).max() / base.r_core
     x0 = np.asarray(base.x0)
     r0 = np.sqrt(np.einsum("ij,ij->i", x0[None], x0[None]))
 
@@ -197,11 +202,12 @@ def _simulate(base, configs):
     hit_times = np.zeros(n_cfg + 1)
     dt_warnings = np.zeros(n_cfg + 1, dtype=bool)
     # the active set, built anew in the same buffers by every block and
-    # compacted in place: positions as component rows, radii, row in the
-    # block and config index (n_cfg for a parked path) of each path
+    # compacted in place: positions as component rows, radii, coeff * dt
+    # (0 for a parked path), row in the block and config index (n_cfg for a
+    # parked path) of each path
     m_max = n_cfg * min(_BLOCK, base.n_paths)
-    x_set, r_set = np.empty((dim, m_max)), np.empty(m_max)
-    rows_set = np.empty(m_max, dtype=np.int32)
+    x_set, r_set, c_set = np.empty((dim, m_max)), np.empty(m_max), np.empty(m_max)
+    rows_set = np.empty(m_max, dtype=np.intp)
     which_set = np.empty(m_max, dtype=np.min_scalar_type(n_cfg))
     # work buffers, reused by every block, step and chunk; the drawer fills
     # one (noise_t, crossing) pair while the step reads the other
@@ -215,8 +221,10 @@ def _simulate(base, configs):
             size = min(_BLOCK, base.n_paths - block * _BLOCK)
             rng = _block_stream(base.seed, block)
             m = n_cfg * size
-            x, r, rows, which = x_set[:, :m], r_set[:m], rows_set[:m], which_set[:m]
+            x, r, c = x_set[:, :m], r_set[:m], c_set[:m]
+            rows, which = rows_set[:m], which_set[:m]
             x[...], r[...] = x0[:, None], r0
+            c.reshape(n_cfg, size)[...] = coeff_dt[:, None]
             rows.reshape(n_cfg, size)[...] = np.arange(size)
             which.reshape(n_cfg, size)[...] = np.arange(n_cfg)[:, None]
             n_parked = 0
@@ -226,9 +234,15 @@ def _simulate(base, configs):
             raw = noise[:size]
             pending = drawer.submit(_draw, rng, raw, *draws[0], noise_scale)
             for k in range(base.n_steps):
-                noise_t, crossing = pending.result()
+                noise_t, crossing, noise_max = pending.result()
                 if k + 1 < base.n_steps:
                     pending = drawer.submit(_draw, rng, raw, *draws[(k + 1) % 2], noise_scale)
+                # a step with every component inside jump_limit / dim is
+                # shorter than jump_limit, so the norms are rarely needed; the
+                # margin of one half covers the rounding of the bound
+                may_jump = not dt_warnings[:n_cfg].all() and (
+                    noise_max + drift_cap >= 0.5 * jump_limit / dim
+                )
                 for s in range(0, len(rows), _BLOCK):
                     chunk = slice(s, s + _BLOCK)
                     xc, rc, rowc = x[:, chunk], r[chunk], rows[chunk]
@@ -236,16 +250,12 @@ def _simulate(base, configs):
                     st, wc, ac, ec, hc = step[:, :n], w[:n], a[:n], e[:n], hits[:n]
                     # step = noise + (coeff dt / max(r, r_core)^2) x
                     np.square(np.maximum(rc, base.r_core, out=ac), out=ac)
-                    np.divide(np.take(coeff_dt, which[chunk], out=wc), ac, out=wc)
+                    np.divide(c[chunk], ac, out=wc)
                     for i in range(dim):
                         np.take(noise_t[i], rowc, out=st[i], mode="clip")
                         st[i] += np.multiply(wc, xc[i], out=ec)
                     xc += st
-                    # a step with every component inside jump_limit / dim is
-                    # shorter than jump_limit, so the norms are rarely needed
-                    if not dt_warnings[:n_cfg].all() and (
-                        max(st.max(), -st.min()) >= jump_limit / dim
-                    ):
+                    if may_jump and max(st.max(), -st.min()) >= jump_limit / dim:
                         far = _sq_norms(st, ec, st, wc) > jump_limit * jump_limit
                         dt_warnings[which[chunk][far]] = True
                     np.maximum(np.subtract(rc, r_hit, out=ac), 0.0, out=ac)
@@ -270,14 +280,14 @@ def _simulate(base, configs):
                         hit_counts += counts
                         hit_steps += counts * (k + 1)
                         # parked at radius 1e3: never near the sphere, so it never hits again
-                        x[0, hit], x[1:, hit], r[hit] = 1e3, 0.0, 1e3
+                        x[0, hit], x[1:, hit], r[hit], c[hit] = 1e3, 0.0, 1e3, 0.0
                         which[hit] = n_cfg
                         n_parked += len(hit)
                 if 8 * n_parked > len(rows):
                     live, m = which != n_cfg, len(rows) - n_parked
-                    for v in (*x, r, rows, which):
+                    for v in (*x, r, c, rows, which):
                         v[:m] = v[live]
-                    x, r, rows, which = x[:, :m], r[:m], rows[:m], which[:m]
+                    x, r, c, rows, which = x[:, :m], r[:m], c[:m], rows[:m], which[:m]
                     n_parked = 0
                     if not m:
                         break

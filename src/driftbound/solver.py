@@ -40,6 +40,7 @@ is ever a snapshot's values or a result.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,6 +62,8 @@ class SolverConfig:
 
     The advective step is explicit, so dt must satisfy
     dt <= cfl_safety * h / max|b|; solve() rejects violations up front.
+    A step count whose per-step columns exceed the machine's physical
+    memory is rejected here.
     """
 
     dt: float
@@ -102,6 +105,24 @@ class SolverConfig:
         self.p_list = tuple(int(p) for p in self.p_list)
         if len(set(self.p_list)) < len(self.p_list):
             raise ValueError(f"p_list entries must not repeat, got {list(self.p_list)}")
+        # a solve allocates the times and a full solve's per-step columns
+        # before its first step, so a count they cannot fit is refused here
+        column_bytes = 8.0 * (1 + len(_step_columns(self.p_list))) * (self.n_steps + 1)
+        memory = _physical_memory()
+        if column_bytes > memory:
+            raise ValueError(
+                f"{self.n_steps:.4g} steps of dt={self.dt:g} need {column_bytes:.3g} bytes of "
+                f"per-step columns, more than the machine's {memory:.3g} bytes of memory"
+            )
+
+
+def _physical_memory():
+    """The machine's physical memory in bytes; where the platform does not
+    say, sys.maxsize, the most bytes a numpy array may hold."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
 
 
 @dataclass
@@ -184,6 +205,15 @@ def _diagnostic_columns(p_list):
 # the CSV columns no solve records per step: the times, the snapshot norms and
 # the Dirichlet integral of u, which Trajectory forms from dirichlet_v
 _DERIVED = ("t", "orlicz", "dirichlet")
+
+
+def _step_columns(p_list, diagnostics=True):
+    """The diag columns a solve records every step: dirichlet_v, and for a
+    full solve every other CSV column but the derived ones."""
+    columns = ["dirichlet_v"]
+    if diagnostics:
+        columns += [name for name in _diagnostic_columns(p_list) if name not in _DERIVED]
+    return columns
 
 
 def solve(b_smooth, f, config, diagnostics=True):
@@ -271,10 +301,7 @@ def solve(b_smooth, f, config, diagnostics=True):
         return out
 
     times = config.dt * np.arange(n_steps + 1)
-    columns = ["dirichlet_v"]
-    if diagnostics:
-        columns += [name for name in _diagnostic_columns(config.p_list) if name not in _DERIVED]
-    diag = {name: np.zeros(n_steps + 1) for name in columns}
+    diag = {name: np.zeros(n_steps + 1) for name in _step_columns(config.p_list, diagnostics)}
     snapshot_indices = []
     snapshots = []
 

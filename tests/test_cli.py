@@ -478,6 +478,7 @@ class TestVerify:
             ("solver", {"dt": 1.0e-320}),
             ("sde", {"dt": 1.0e-320}),
             ("solver", {"t_final": 1.0e300, "dt": 1.0e-10}),
+            ("solver", {"t_final": 1.0e300, "dt": 1.0e-5}),  # columns beyond memory
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, edit):

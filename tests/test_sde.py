@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,15 @@ class TestDeltaSweep:
         for delta, member in zip(deltas, sweep):
             assert member == simulate_hardy_sde(base_config(delta=delta, **params))
 
+    def test_repeated_delta_matches_single_run(self):
+        # each path carries its own coefficient through parking and
+        # compaction; a mix-up with the config index would split the repeats
+        params = dict(delta=4.0, dt=1e-4, n_paths=17000, seed=3)
+        first, zero, third = delta_sweep(base_config(**params), [4.0, 0.0, 4.0])
+        assert first == third
+        assert first == simulate_hardy_sde(base_config(**params))
+        assert zero == simulate_hardy_sde(base_config(**{**params, "delta": 0.0}))
+
     @pytest.mark.parametrize("bad", [-1.0, 1.0e6])
     def test_invalid_delta_raises_before_any_path_work(self, monkeypatch, bad):
         calls = []
@@ -212,6 +222,13 @@ class TestDrawer:
             frozen(4.0, 15136, 40000, 0.008760934196617337, 9),
             frozen(36.0, 21259, 40000, 0.008600188155604687, 9),
         ]
+
+    def test_noise_bound_is_the_largest_scaled_component(self):
+        raw, crossing = np.empty((1000, 3)), np.empty(sde._BLOCK)
+        noise_t, _, bound = sde._draw(
+            sde._block_stream(4, 0), raw, np.empty((3, sde._BLOCK)), crossing, 0.02
+        )
+        assert bound == np.abs(noise_t[:, :1000]).max()
 
     def test_concurrent_sweeps_match_serial_ones(self):
         runs = [
@@ -306,6 +323,43 @@ class TestDtWarning:
         assert repr(simulate_hardy_sde(cfg)) == expected[0]
         assert [repr(s) for s in delta_sweep(cfg, [0.0, 1e-4, 4e-4])] == expected
 
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (
+                441,
+                [
+                    frozen(0.0, 108, 200, 0.0006999999999999999, 441),
+                    frozen(0.002, 107, 200, 0.0006813084112149532, 441, True),
+                    frozen(0.005, 107, 200, 0.0006841121495327102, 441, True),
+                ],
+            ),
+            (
+                609,
+                [
+                    frozen(0.0, 113, 200, 0.0010274336283185841, 609),
+                    frozen(0.002, 116, 200, 0.0010603448275862068, 609),
+                    frozen(0.005, 115, 200, 0.0010669565217391304, 609, True),
+                ],
+            ),
+        ],
+    )
+    def test_flags_differ_between_members(self, seed, expected):
+        # values of the engine that took every chunk's max and min; the
+        # members share the noise, so a flag differs only where a path has
+        # hit in one member and still steps in another
+        cfg = base_config(
+            r_hit=0.011,
+            r_core=0.0105,
+            dt=3e-4,
+            t_final=0.015,
+            x0=(0.02, 0.0, 0.0),
+            n_paths=200,
+            seed=seed,
+        )
+        assert [repr(s) for s in delta_sweep(cfg, [0.0, 0.002, 0.005])] == expected
+        assert repr(simulate_hardy_sde(replace(cfg, delta=0.005))) == expected[2]
+
     def test_paths_that_hit_never_flag(self):
         # every path hits in its first step; had the hit paths kept stepping,
         # 500 paths x 49 steps at a 4.5-sigma jump limit would flag the run
@@ -327,7 +381,9 @@ class TestDtWarning:
 
 def test_template_sweep_memory_peak():
     # the template's sweep cut to 100 steps; work buffers of full sweep size
-    # would push the peak past this bound
+    # would push the peak past this bound.  With numpy 2.4 the peak reads
+    # about 5.67e6 bytes; it was 5.05e6 before the active set carried each
+    # path's coeff * dt and intp rows
     base = base_config(t_final=0.002, seed=0)
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -474,6 +475,17 @@ class TestErrors:
     def test_non_multiple_horizon_rejected(self):
         with pytest.raises(ValueError, match="whole number"):
             SolverConfig(dt=3e-4, t_final=0.1)
+
+    @pytest.mark.parametrize(
+        "t_final, steps, size",
+        [(1.0e300, "1e+305 steps", "9.6e+306 bytes"), (1.0e7, "1e+12 steps", "9.6e+13 bytes")],
+    )
+    def test_step_count_beyond_memory_rejected(self, t_final, steps, size):
+        # the times and a full solve's eleven diag columns, 96 bytes per
+        # step; both counts fail at once, before any array is allocated
+        message = f"{steps} of dt=1e-05 need {size} of per-step columns"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SolverConfig(dt=1.0e-5, t_final=t_final)
 
     def test_nan_aborts_with_partial_trajectory(self, grid1d):
         # cfl_safety large enough to let an unstable advective step overflow

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -406,6 +407,100 @@ class TestCauchyConvergence:
         other = solve(b, f, SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=2))
         with pytest.raises(ValueError, match="checkpoint times"):
             check_cauchy_convergence(pair, [pair[0], other])
+
+
+class TestNegativeControls:
+    """Each check fails on an input that breaks its inequality.
+
+    The run is pure diffusion of a unit cosine in 1D with c_delta = 0, on
+    which every check passes; each control then breaks one input after
+    t = 0: the snapshots, an exp column or dirichlet_v, which every
+    bound's right-hand side reads only at t = 0 or not at all.
+    """
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        grid = TorusGrid(1, 64)
+        f = cos_datum(grid, amp=1.0)
+        traj = solve(
+            VectorField.zeros(grid), f, SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=5)
+        )
+        return f, traj
+
+    @staticmethod
+    def scaled(traj, factor):
+        """traj with every snapshot after t = 0 multiplied by factor.
+
+        The mode decays by exp(-4 pi^2 t) >= 0.67 up to t = 0.01, so a factor
+        of 2 lifts each norm and modular above its value at t = 0.
+        """
+        snapshots = [traj.snapshots[0]] + [
+            ScalarField(s.grid, factor * s.values) for s in traj.snapshots[1:]
+        ]
+        return dataclasses.replace(traj, snapshots=snapshots)
+
+    @staticmethod
+    def raised(traj, column, factor):
+        """traj with the per-step column multiplied by factor after t = 0."""
+        values = traj.diag[column].copy()
+        values[1:] *= factor
+        return dataclasses.replace(traj, diag={**traj.diag, column: values})
+
+    @staticmethod
+    def assert_fails(honest, broken):
+        assert honest.passed is True and honest.failure_amount == 0.0
+        assert broken.passed is False
+        assert broken.failure_amount > 0.0
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda traj: check_orlicz_contraction(traj, 4.0, 0.0),
+            lambda traj: check_lp_contraction(traj, "auto", 1.0, 0.0),
+            lambda traj: check_cosh_energy(traj, 4.0, 0.0),
+        ],
+        ids=["orlicz", "lp", "cosh"],
+    )
+    def test_snapshots_scaled_up_after_t0(self, run, check):
+        _, traj = run
+        self.assert_fails(check(traj), check(self.scaled(traj, 2.0)))
+
+    def test_exp_energy_with_a_raised_column(self, run):
+        _, traj = run
+        self.assert_fails(
+            check_exp_energy(traj, 2, 4.0, 0.0),
+            check_exp_energy(self.raised(traj, "exp_modular_p2", 1.5), 2, 4.0, 0.0),
+        )
+
+    def test_gradient_bound_with_dirichlet_v_above_it(self, run):
+        # int_0^t <(grad v)^2> reaches at most 1/2 ||f||_2^2 (1 - 0.45) here,
+        # so ten times the integrand overshoots the c0 = 0 bound 1/2 ||f||_2^2
+        f, traj = run
+        self.assert_fails(
+            check_gradient_bound([traj], f, 0.0),
+            check_gradient_bound([self.raised(traj, "dirichlet_v", 10.0)], f, 0.0),
+        )
+
+    def test_cauchy_gaps_that_do_not_decay(self, run):
+        # each member is u at t = 0 and s_k u after, so the gap between two
+        # members is |s_k - s_(k+1)| times the largest ||u(t)||_Phi after t = 0
+        _, traj = run
+        a = [self.scaled(traj, 1.0), self.scaled(traj, 1.1), self.scaled(traj, 1.2)]
+        b = [self.scaled(traj, 1.15), self.scaled(traj, 1.2)]
+        report = check_cauchy_convergence(a, b)
+        assert report.passed is False
+        assert report.notes["decay_ok"] is False and report.notes["cross_ok"] is True
+
+    def test_cauchy_cross_gap_above_the_budget(self, run):
+        # in those units A's gaps are 0.1 and 0.025, a decay by 4, and B's
+        # finest member lies 0.385 from A's, against a budget of 0.025
+        _, traj = run
+        a = [self.scaled(traj, 1.0), self.scaled(traj, 1.1), self.scaled(traj, 1.125)]
+        b = [self.scaled(traj, 1.5), self.scaled(traj, 1.51)]
+        report = check_cauchy_convergence(a, b)
+        assert report.passed is False
+        assert report.notes["decay_ok"] is True and report.notes["cross_ok"] is False
+        assert report.failure_amount > 0.0
 
 
 def test_refinement_study_attaches_trend(grid1d):
