@@ -11,7 +11,13 @@ absorbed when |X_k| <= r_hit; between samples, every run applies a
 Brownian-bridge crossing test against the tangent plane of the hitting
 sphere, which removes the O(sqrt(dt)) discrete-monitoring bias that would
 otherwise swamp the Wilson interval of the hitting fraction at usable step
-sizes.  SdeConfig's defaults are the config's sde defaults.
+sizes.  The test runs only on the paths within sqrt(window dt) of the
+sphere before or after the step, and is exact: beyond that a path's
+crossing probability is below exp(-40), under every nonzero uniform (a
+multiple of 2**-53), and a step with a zero uniform widens the window to
+746, where exp underflows to 0.  A stepped path lies outside r_hit > r_core,
+so the drift's cap max(|X_k|, r_core) never binds and the engine divides by
+|X_k|^2 alone.  SdeConfig's defaults are the config's sde defaults.
 
 Randomness is counter-based: paths are processed in fixed-size blocks, each
 with its own Philox stream keyed by (seed, block index), and noise is drawn
@@ -51,6 +57,10 @@ __all__ = ["SdeConfig", "HittingStats", "simulate_hardy_sde", "sweep_configs", "
 
 _BLOCK = 1 << 14
 _WILSON_Z = 1.959963984540054
+# Generator.random returns multiples of 2**-53, so a nonzero uniform is never
+# below exp(-_WINDOW) = 4.2e-18; exp returns 0.0 for arguments below -746
+_WINDOW = 40.0
+_EXP_UNDERFLOW = 746.0
 
 
 @dataclass(kw_only=True)
@@ -166,6 +176,11 @@ def _draw(rng, noise, noise_t, crossing, scale):
     return noise_t, crossing, max(noise.max(), -noise.min()) * scale
 
 
+def _crossing_window(crossing):
+    """The a b / dt beyond which no uniform of crossing falls under exp(-a b / dt)."""
+    return _WINDOW if crossing.all() else _EXP_UNDERFLOW
+
+
 def _sq_norms(x, out, sq, tmp):
     """Squared norms of the paths whose components are the rows of x.
 
@@ -178,6 +193,8 @@ def _sq_norms(x, out, sq, tmp):
         return np.einsum("ij,ij->i", rows, rows, out=out)
     np.multiply(x, x, out=sq)
     np.add.reduce(sq[0::2], axis=0, out=out)
+    if len(x) < 4:
+        return np.add(out, sq[1], out=out)
     np.add.reduce(sq[1::2], axis=0, out=tmp)
     return np.add(out, tmp, out=out)
 
@@ -193,7 +210,7 @@ def _simulate(base, configs):
     noise_scale = math.sqrt(2.0 * dt)
     jump_limit = 10.0 * r_hit
     coeff_dt = np.array([hardy_coefficient(cfg.delta, cfg.dim, cfg.sign) * dt for cfg in configs])
-    # no drift component exceeds |coeff dt| |x| / max(r, r_core)^2 <= |coeff dt| / r_core
+    # no drift component exceeds |coeff dt| |x| / r^2 <= |coeff dt| / r_core, as r > r_core
     drift_cap = np.abs(coeff_dt).max() / base.r_core
     x0 = np.asarray(base.x0)
     r0 = np.sqrt(np.einsum("ij,ij->i", x0[None], x0[None]))
@@ -237,6 +254,8 @@ def _simulate(base, configs):
                 noise_t, crossing, noise_max = pending.result()
                 if k + 1 < base.n_steps:
                     pending = drawer.submit(_draw, rng, raw, *draws[(k + 1) % 2], noise_scale)
+                window = _crossing_window(crossing[:size])
+                reach = r_hit + math.sqrt(window * dt)
                 # a step with every component inside jump_limit / dim is
                 # shorter than jump_limit, so the norms are rarely needed; the
                 # margin of one half covers the rounding of the bound
@@ -248,8 +267,9 @@ def _simulate(base, configs):
                     xc, rc, rowc = x[:, chunk], r[chunk], rows[chunk]
                     n = len(rowc)
                     st, wc, ac, ec, hc = step[:, :n], w[:n], a[:n], e[:n], hits[:n]
-                    # step = noise + (coeff dt / max(r, r_core)^2) x
-                    np.square(np.maximum(rc, base.r_core, out=ac), out=ac)
+                    # step = noise + (coeff dt / r^2) x; every row has r > r_core
+                    # (a path that hits is parked at 1e3), so no cap is needed
+                    np.square(rc, out=ac)
                     np.divide(c[chunk], ac, out=wc)
                     for i in range(dim):
                         np.take(noise_t[i], rowc, out=st[i], mode="clip")
@@ -258,20 +278,25 @@ def _simulate(base, configs):
                     if may_jump and max(st.max(), -st.min()) >= jump_limit / dim:
                         far = _sq_norms(st, ec, st, wc) > jump_limit * jump_limit
                         dt_warnings[which[chunk][far]] = True
-                    np.maximum(np.subtract(rc, r_hit, out=ac), 0.0, out=ac)
+                    np.copyto(ac, rc)
                     np.sqrt(_sq_norms(xc, rc, st, ec), out=rc)
                     np.less_equal(rc, r_hit, out=hc)
                     # tangent-plane Brownian bridge: the normal component has
                     # variance 2 dt, so the crossing probability from signed
-                    # distances (a, b) is exp(-a b / dt).  exp gives 0.0 below
-                    # -746, which no uniform draw undercuts, and is slow where
-                    # it underflows, so only the paths above take it
-                    np.maximum(np.subtract(rc, r_hit, out=ec), 0.0, out=ec)
-                    ec *= ac
-                    ec /= dt
-                    near = np.flatnonzero(ec < 746.0)
+                    # distances (a, b) is exp(-a b / dt).  A path with both
+                    # radii at or beyond reach has a b / dt >= window up to
+                    # rounding, so no uniform of the step falls under it:
+                    # nonzero ones exceed exp(-40), and a step with a zero one
+                    # has window 746, past which exp gives 0.0.  Only the
+                    # paths inside reach, and below the window, take exp
+                    cand = np.flatnonzero(np.minimum(ac, rc, out=ec) < reach)
+                    bc = np.maximum(rc[cand] - r_hit, 0.0)
+                    bc *= np.maximum(ac[cand] - r_hit, 0.0)
+                    bc /= dt
+                    inside = bc < window
                     with np.errstate(under="ignore"):
-                        p_cross = np.exp(-ec[near])
+                        p_cross = np.exp(-bc[inside])
+                    near = cand[inside]
                     hc[near[crossing[rowc[near]] < p_cross]] = True
                     hit = np.flatnonzero(hc)
                     if len(hit):

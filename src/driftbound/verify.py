@@ -72,9 +72,14 @@ class VerificationReport:
 
     @property
     def failure_amount(self):
-        """Largest tolerance-normalized deficit; 0 when the check passes."""
+        """Largest tolerance-normalized deficit; 0 when the check passes.
+
+        A Cauchy report also counts the relative shortfall of each decay
+        ratio below CAUCHY_MIN_RATIO, so a failed decay has a deficit too.
+        """
         deficit = self.lhs - self.rhs - self.tol_rel * np.abs(self.rhs)
-        return float(max(0.0, deficit.max()))
+        shortfalls = [1.0 - r / CAUCHY_MIN_RATIO for r in self.notes.get("decay_ratios", ())]
+        return float(max(0.0, deficit.max(), *shortfalls))
 
     def to_json(self):
         out = {

@@ -745,6 +745,35 @@ class TestVerify:
         reports = json.loads((out / "reports.json").read_text())["reports"]
         assert all(r["tol_rel"] == 5e-2 for r in reports)
 
+    def test_exp_energy_tells_c_delta_zero_from_auto(self, tmp_path):
+        # a negative control end to end: the template at n = 16 with a
+        # repelling drift, started from the delta_hat witness at the budget
+        # 2 <|b|^2>, which the drift pushes hardest, so that the analytic
+        # tier's exp_energy fails without the zeroth-order constant
+        data = yaml.safe_load(cli.TEMPLATE)
+        data["grid"]["n"] = 16
+        data["drift"]["sign"] = 1
+        b = Experiment(data, output_dir=tmp_path / "unused").build_drift()
+        witness = form_bound_estimate(b, [2.0 * b.mean_square()])[0].witness
+        datum = tmp_path / "witness.bin"
+        grid_module.write_field(
+            datum, grid_module.ScalarField(b.grid, witness.values / np.abs(witness.values).max())
+        )
+        data["initial"] = {"kind": "file", "path": str(datum)}
+        data["solver"].update(t_final=0.01, snapshot_stride=1)
+        data["verifier"]["inequalities"] = ["exp_energy"]
+        data["experiment"]["tolerance_tier"] = "analytic"
+        cfg = tmp_path / "cfg.yaml"
+        for c_delta, status in [(0, 1), ("auto", 0)]:
+            out = tmp_path / f"run-{c_delta}"
+            data["experiment"]["output_dir"] = str(out)
+            data["verifier"]["c_delta"] = c_delta
+            cfg.write_text(yaml.safe_dump(data))
+            assert main(["verify", "--config", str(cfg)]) == status
+            reports = json.loads((out / "reports.json").read_text())["reports"]
+            assert [r["inequality_id"] for r in reports] == ["exp_energy_p2", "exp_energy_p4"]
+            assert [r["passed"] for r in reports] == [status == 0] * 2
+
 
 class TestOtherPipelines:
     @pytest.mark.parametrize("dim", [1, 2])

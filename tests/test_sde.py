@@ -1,10 +1,14 @@
+import itertools
+import json
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy.special import erfc
 
 from driftbound import sde
@@ -379,11 +383,88 @@ class TestDtWarning:
         ]
 
 
+class TestCrossingWindow:
+    """The bridge test runs only on paths within sqrt(window dt) of the sphere."""
+
+    def test_no_nonzero_uniform_falls_under_the_window(self):
+        # Generator.random returns multiples of 2**-53
+        assert np.exp(-sde._WINDOW) < 2.0**-53
+
+    def test_a_zero_uniform_widens_the_window_to_the_exp_underflow(self):
+        crossing = np.full(1000, 2.0**-53)
+        assert sde._crossing_window(crossing) == sde._WINDOW
+        crossing[437] = 0.0
+        assert sde._crossing_window(crossing) == 746.0
+        with np.errstate(under="ignore"):
+            assert np.exp(-746.0) == 0.0
+
+    # values of the engine that took exp(-a b / dt) on every row below 746;
+    # 17000 paths from just outside r_hit put 95% of the row-steps in that
+    # band and 54% below the window
+    NEAR_SPHERE = dict(x0=(0.31, 0.0, 0.0), dt=1e-4, t_final=0.005, n_paths=17000, seed=21)
+
+    def test_paths_that_start_near_the_sphere(self):
+        sweep = delta_sweep(base_config(**self.NEAR_SPHERE), [0.0, 4.0])
+        assert [repr(s) for s in sweep] == [
+            frozen(0.0, 15194, 17000, 0.00044964459655127026, 21),
+            frozen(4.0, 15460, 17000, 0.00044906209573091854, 21),
+        ]
+
+    def test_zero_uniforms_cross_up_to_the_exp_underflow(self, monkeypatch):
+        # every seventh uniform of every tenth step set to 0.0: on those steps
+        # such a path crosses wherever exp(-a b / dt) does not underflow,
+        # which from the template's start at dt = 1e-4 is far beyond the window
+        draw, calls = sde._draw, itertools.count(1)
+
+        def draw_with_zeros(rng, noise, noise_t, crossing, scale):
+            drawn = draw(rng, noise, noise_t, crossing, scale)
+            if next(calls) % 10 == 0:
+                crossing[: len(noise) : 7] = 0.0
+            return drawn
+
+        monkeypatch.setattr(sde, "_draw", draw_with_zeros)
+        cfg = base_config(dt=1e-4, t_final=0.005, n_paths=17000, seed=21)
+        assert [repr(s) for s in delta_sweep(cfg, [0.0, 4.0])] == [
+            frozen(0.0, 3746, 17000, 0.0018138280832888415, 21),
+            frozen(4.0, 4035, 17000, 0.001908822800495663, 21),
+        ]
+
+    def test_core_radius_just_inside_the_hitting_radius(self):
+        # every stepped path lies outside r_hit > r_core, so the drift's
+        # core cap never binds; values of the engine that applied it
+        cfg = base_config(
+            x0=(0.33, 0.0, 0.0),
+            r_core=math.nextafter(0.3, 0.0),
+            dt=1e-4,
+            t_final=0.01,
+            n_paths=3000,
+            seed=22,
+        )
+        assert [repr(s) for s in delta_sweep(cfg, [0.0, 4.0, 100.0])] == [
+            frozen(0.0, 2243, 3000, 0.0015574230940704414, 22),
+            frozen(4.0, 2364, 3000, 0.001582191201353638, 22),
+            frozen(100.0, 2750, 3000, 0.0015256363636363636, 22),
+        ]
+
+
+@pytest.mark.parametrize("seed", [0, 1000])
+def test_template_sweep_matches_the_benchmark_reference(seed):
+    # the perfbench sde-sweep workload's recorded hit statistics, bit for bit
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    cfg = yaml.safe_load((perfbench / "template.yaml").read_text())["sde"]
+    deltas = cfg.pop("deltas")
+    reference = json.loads((perfbench / "reference" / "sde-sweep.json").read_text())
+    sweep = delta_sweep(SdeConfig(**cfg, seed=seed), deltas)
+    stats = [[s.delta, s.hit_count, s.mean_hit_time] for s in sweep]
+    assert stats == reference["seeds"][str(seed)]
+
+
 def test_template_sweep_memory_peak():
     # the template's sweep cut to 100 steps; work buffers of full sweep size
     # would push the peak past this bound.  With numpy 2.4 the peak reads
-    # about 5.67e6 bytes; it was 5.05e6 before the active set carried each
-    # path's coeff * dt and intp rows
+    # about 5.60e6 bytes, and 5.68e6 when the crossing test ran on every row;
+    # it was 5.05e6 before the active set carried each path's coeff * dt and
+    # intp rows
     base = base_config(t_final=0.002, seed=0)
     tracemalloc.start()
     try:

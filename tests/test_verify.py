@@ -483,13 +483,17 @@ class TestNegativeControls:
 
     def test_cauchy_gaps_that_do_not_decay(self, run):
         # each member is u at t = 0 and s_k u after, so the gap between two
-        # members is |s_k - s_(k+1)| times the largest ||u(t)||_Phi after t = 0
+        # members is |s_k - s_(k+1)| times the largest ||u(t)||_Phi after t = 0;
+        # the honest gaps decay by 4, the broken ones by 1, a shortfall of 1/3
         _, traj = run
         a = [self.scaled(traj, 1.0), self.scaled(traj, 1.1), self.scaled(traj, 1.2)]
         b = [self.scaled(traj, 1.15), self.scaled(traj, 1.2)]
+        honest_a = [*a[:2], self.scaled(traj, 1.125)]
+        honest_b = [self.scaled(traj, 1.1), self.scaled(traj, 1.125)]
         report = check_cauchy_convergence(a, b)
-        assert report.passed is False
+        self.assert_fails(check_cauchy_convergence(honest_a, honest_b), report)
         assert report.notes["decay_ok"] is False and report.notes["cross_ok"] is True
+        assert report.failure_amount == pytest.approx(1.0 / 3.0)
 
     def test_cauchy_cross_gap_above_the_budget(self, run):
         # in those units A's gaps are 0.1 and 0.025, a decay by 4, and B's
