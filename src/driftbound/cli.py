@@ -58,7 +58,7 @@ from .drift import (
 from .grid import TorusGrid, build_field, lp_norm, write_field
 from .orlicz import modular, orlicz_norm
 from .sde import SdeConfig, delta_sweep, sweep_configs
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, _check_cfl, solve
 from .verify import (
     ANALYTIC_TOL,
     SINGULAR_TOL,
@@ -537,8 +537,11 @@ def pipeline_mollify(exp):
 
 def pipeline_solve(exp):
     b = exp.build_drift()
+    f = exp.build_initial()
+    b_eps = mollify_drift(b, exp.schedule[-1])
+    _check_cfl(b_eps, exp.solver)  # before c(delta), the costliest step before the solve
     _, _, config = exp.check_parameters(b)
-    traj = solve(mollify_drift(b, exp.schedule[-1]), exp.build_initial(), config)
+    traj = solve(b_eps, f, config)
     traj.to_csv(exp.artifact("diagnostics.csv"))
     for i, snapshot in enumerate(traj.snapshots):
         write_field(exp.artifact(f"snapshot_{i:04d}.bin"), snapshot)
@@ -556,6 +559,27 @@ def pipeline_solve(exp):
     if traj.aborted:
         raise RuntimeError(f"solve aborted for eps={exp.schedule[-1]}: {traj.abort_message}")
     return True
+
+
+def _check_members_cfl(b, schedule, config):
+    """Raise, before any work, the CFL violation that the solves of drift b
+    mollified at each eps in schedule would raise.
+
+    Only the member with the smallest eps, whose max|b_eps| is the largest
+    on the template, is mollified when it keeps the limit; solve() still
+    checks every member, since on the grid max|b_eps| need not fall with
+    eps.  When it breaks the limit, the members before it in schedule order
+    are checked too, so the error names the first member in schedule order
+    that breaks it, as the solves' results, read in that order, would.  No
+    mollified drift outlives the call.
+    """
+    finest = min(schedule)
+    try:
+        _check_cfl(mollify_drift(b, finest), config)
+    except ValueError:
+        for eps in schedule[: schedule.index(finest)]:
+            _check_cfl(mollify_drift(b, eps), config)
+        raise
 
 
 def pipeline_verify(exp):
@@ -584,6 +608,9 @@ def pipeline_verify(exp):
         reasons = "; ".join(f"{name}: {why}" for name, why in skipped.items())
         raise ConfigError(f"verifier.inequalities: no selected check can run ({reasons})")
 
+    schedule = members + (exp.schedule_b if run_cauchy else [])
+    _check_members_cfl(b, schedule, exp.solver)
+
     # schedule B is solved only for the Cauchy check; every member of A and B
     # is solved exactly once.  Only the finest member records the per-step
     # columns, for diagnostics.csv and exp_energy; the other checks read the
@@ -597,8 +624,8 @@ def pipeline_verify(exp):
     # count or timing.  The finest, the costliest solve, is submitted first;
     # certificates.json is written before any solve result is read, and the
     # results are read in schedule order, so the files written, the first
-    # error raised and every output byte are the serial run's.
-    schedule = members + (exp.schedule_b if run_cauchy else [])
+    # error raised and every output byte are the serial run's.  The sweep's
+    # certificates, with their witness fields, are dropped once written.
     finest_index = len(members) - 1
     pool = ThreadPoolExecutor(min(len(schedule), usable_cpus()))
     try:
@@ -613,6 +640,7 @@ def pipeline_verify(exp):
         order = sorted(range(len(schedule)), key=lambda i: i != finest_index)
         futures = {i: pool.submit(solve_member, i) for i in order}
         certified = _write_certificates(exp, b, sweep.result())
+        del sweep
         solved, mean_squares = zip(*(futures[i].result() for i in range(len(schedule))))
         for traj, eps in zip(solved, schedule):
             if traj.aborted:

@@ -177,6 +177,35 @@ class TorusGrid:
             mask &= np.abs(k) <= cut
         return mask
 
+    # The solver's two grid-only symbols.  They are read-only, so every
+    # concurrent solve on the grid shares one copy.
+
+    @cached_property
+    def _slab_gradient_symbols(self):
+        """(g * dealias_mask)[..., :lines] per gradient symbol g: the slab is
+        the first `lines` lines of the halved last axis, the only ones on
+        which the mask keeps a mode."""
+        mask = self.dealias_mask
+        lines = int(np.count_nonzero(mask.any(axis=tuple(range(self.dim - 1)))))
+        symbols = tuple(g[..., :lines] * mask[..., :lines] for g in self.gradient_symbols)
+        for s in symbols:
+            s.setflags(write=False)
+        return symbols
+
+    @cached_property
+    def _dirichlet_root(self):
+        """sqrt(dirichlet_symbol * w) / size, w the Parseval weight on the
+        halved rfft axis: an interior mode stands for itself and its
+        conjugate (2), the modes at index 0 and at the Nyquist index for one
+        (1).  Multiplying the spectrum by the root, not by the weight, reads
+        an overflowing mode as inf rather than 0 * inf = nan on a
+        zero-weight mode."""
+        parseval = np.full(self.spectral_shape[-1], 2.0)
+        parseval[0] = parseval[-1] = 1.0
+        root = np.sqrt(self.dirichlet_symbol * parseval) / self.size
+        root.setflags(write=False)
+        return root
+
 
 def _as_values(grid, values):
     arr = np.asarray(values, dtype=float)

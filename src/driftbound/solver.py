@@ -34,7 +34,8 @@ floating-point operations in the same order as the plain expressions given
 in the comments, so every trajectory is bitwise what those expressions give
 (tests/test_solver.py keeps them as its oracle).  Only the transforms of the
 physical field and of the gradient components return new arrays.  No buffer
-is ever a snapshot's values or a result.
+is ever a snapshot's values or a result.  Snapshot 0 is the datum itself:
+solve only reads it, so every solve from one datum shares it.
 """
 
 from __future__ import annotations
@@ -130,9 +131,11 @@ class Trajectory:
     """Solution snapshots plus per-step diagnostics.
 
     snapshots hold the solved variable v; the unshifted solution at snapshot
-    i is exp(shift * t_i) * v_i.  diag maps names to per-step arrays: the
-    Dirichlet integral of v, dirichlet_v, and for a full solve every
-    diagnostics.csv column of u but t, orlicz and dirichlet, by its CSV name.
+    i is exp(shift * t_i) * v_i.  snapshots[0] is the datum solve() was
+    given, the caller's field, not a copy.  diag maps names to per-step
+    arrays: the Dirichlet integral of v, dirichlet_v, and for a full solve
+    every diagnostics.csv column of u but t, orlicz and dirichlet, by its
+    CSV name.
     A light solve's diag holds dirichlet_v only.  abort_message is empty
     unless the solve aborted; times and diag then end at the last valid step.
     """
@@ -216,12 +219,37 @@ def _step_columns(p_list, diagnostics=True):
     return columns
 
 
+def _check_cfl(b_smooth, config):
+    """The CFL limit of the explicit advective step, taken from the
+    dealiased drift, the field the scheme actually advects with.
+
+    Returns (components, max|b|) of that drift; raises ValueError when
+    config.dt exceeds cfl_safety * h / max|b|.  The pipelines call it on a
+    mollified drift before any other work; solve() calls it on its own.
+    """
+    grid = b_smooth.grid
+    mask = grid.dealias_mask
+    b_parts = tuple(irfftn(rfftn(c.values) * mask, grid.shape) for c in b_smooth.components)
+    b_max = math.sqrt(float(sum(b_a * b_a for b_a in b_parts).max()))
+    limit = config.cfl_safety * grid.spacing / b_max if b_max > 0 else math.inf
+    if config.dt > limit:
+        raise ValueError(
+            f"CFL violation: dt={config.dt} exceeds cfl_safety*h/max|b| = {limit:.3e}"
+        )
+    return b_parts, b_max
+
+
 def solve(b_smooth, f, config, diagnostics=True):
     """Integrate the shifted equation from datum f under drift b_smooth.
 
     The drift should be mollified/band-limited; its spectrum is dealiased
-    with the two-thirds mask before use.  Raises on CFL violation; a NaN
-    mid-run aborts with the last valid state and sets abort_message.
+    with the two-thirds mask before use.  Raises on CFL violation
+    (_check_cfl); a NaN mid-run aborts with the last valid state and sets
+    abort_message.
+
+    solve never writes f, and snapshot 0 is f itself, the caller's datum,
+    not a copy; a caller that changes f's values afterwards changes that
+    snapshot too.
 
     With diagnostics=False the solve is light: it records only dirichlet_v
     and the snapshots, which is all the gradient-bound and Cauchy checks
@@ -231,37 +259,16 @@ def solve(b_smooth, f, config, diagnostics=True):
     grid = f.grid
     if b_smooth.grid != grid:
         raise ValueError("drift and initial datum live on different grids")
-    mask = grid.dealias_mask
-    # The CFL bound and the advect flag are taken from the dealiased drift,
-    # the field the scheme actually advects with.
-    b_parts = tuple(
-        irfftn(rfftn(c.values) * mask, grid.shape) for c in b_smooth.components
-    )
-    b_max = math.sqrt(float(sum(b_a * b_a for b_a in b_parts).max()))
-    h = grid.spacing
-    if b_max > 0 and config.dt > config.cfl_safety * h / b_max:
-        raise ValueError(
-            f"CFL violation: dt={config.dt} exceeds cfl_safety*h/max|b| = "
-            f"{config.cfl_safety * h / b_max:.3e}"
-        )
+    b_parts, b_max = _check_cfl(b_smooth, config)
+    advect = b_max > 0
     n_steps = config.n_steps
 
     factor = np.exp(config.dt * (grid.laplace_symbol - config.shift))
-    # The slab: the first `lines` lines of the halved last axis, the only
-    # ones on which the mask keeps a mode.
-    lines = int(np.count_nonzero(mask.any(axis=tuple(range(grid.dim - 1)))))
-    slab_mask = mask[..., :lines]
+    grad_syms = grid._slab_gradient_symbols
+    lines = grad_syms[0].shape[-1]
+    slab_mask = grid.dealias_mask[..., :lines]
     slab_factor = factor[..., :lines]
-    # (g * mask)[..., :lines], formed on the slab only
-    grad_syms = tuple(g[..., :lines] * slab_mask for g in grid.gradient_symbols)
-    # Parseval on the halved rfft axis: an interior mode stands for itself and
-    # its conjugate, the modes at index 0 and at the Nyquist index for one.
-    # The root of the weight multiplies the spectrum, so that an overflowing
-    # mode reads inf rather than 0 * inf = nan on a zero-weight mode.
-    parseval = np.full(grid.spectral_shape[-1], 2.0)
-    parseval[0] = parseval[-1] = 1.0
-    dirichlet_root = np.sqrt(grid.dirichlet_symbol * parseval) / grid.size
-    advect = b_max > 0
+    dirichlet_root = grid._dirichlet_root
 
     # The work buffers, allocated once per solve and overwritten every step.
     # `work` holds the advection sum and |grad v|^2, and `squares`, its
@@ -327,7 +334,7 @@ def solve(b_smooth, f, config, diagnostics=True):
             )
         if snapshot:
             snapshot_indices.append(k)
-            snapshots.append(f.copy() if k == 0 else ScalarField(grid, v_phys))
+            snapshots.append(f if k == 0 else ScalarField(grid, v_phys))
         if k == n_steps:
             break
         # spectrum is a solve-owned array (the datum's transform, then updated

@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from driftbound import grid as grid_module
 from driftbound._convert import integral
 from driftbound.cli import DEFAULTS, REQUIRED, Experiment, load_config, main
 from driftbound.drift import form_bound_estimate, mollify_drift
+from driftbound.grid import write_field
 from driftbound.solver import solve
 
 
@@ -347,8 +350,8 @@ class TestVerify:
         assert messages[0] in err and messages[1] not in err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == messages[0]
-        # the certificates come before any member's result, as in a serial run
-        assert (out / "certificates.json").exists()
+        # the limit is checked before any work, so no certificates.json
+        assert manifest["artifacts"] == {}
 
     def test_failed_c_delta_writes_no_certificates(self, tmp_path, capsys, monkeypatch):
         # c(delta) fails on the calling thread while the delta_hat sweep runs
@@ -658,7 +661,56 @@ class TestVerify:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["passed"] is False and manifest["status"] == 3
         assert manifest["error"].startswith("runtime error: CFL violation")
-        assert set(manifest["artifacts"]) == {"certificates.json"}
+        assert manifest["artifacts"] == {}
+
+    @pytest.mark.parametrize("subcommand", ["verify", "solve"])
+    def test_cfl_violation_at_64_ends_the_run_before_any_work(
+        self, tmp_path, capsys, monkeypatch, subcommand
+    ):
+        # The template at n = 64 keeps dt = 5e-4, above the limit 4.642e-4 of
+        # its finest schedule-A member, the first in schedule order to break
+        # it.  The run must stop before c(delta), which alone takes about
+        # 1.7 s at 64^3, and before the delta_hat sweep and certificates.json.
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the CFL check")
+
+        monkeypatch.setattr(cli, "zeroth_order_constant", never)
+        monkeypatch.setattr(cli, "form_bound_estimate", never)
+        data = yaml.safe_load(cli.TEMPLATE)
+        data["grid"]["n"] = 64
+        data["experiment"]["output_dir"] = str(tmp_path / "run")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(data))
+        start = time.perf_counter()
+        assert main([subcommand, "--config", str(cfg)]) == 3
+        elapsed = time.perf_counter() - start
+        line = "runtime error: CFL violation: dt=0.0005 exceeds cfl_safety*h/max|b| = 4.642e-04"
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert [path.name for path in (tmp_path / "run").iterdir()] == ["manifest.json"]
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["artifacts"] == {}
+        assert elapsed < 2.0
+
+    def test_verify_memory_peak(self, tmp_path, monkeypatch):
+        # n = 16, two members per schedule, with one pool thread and one FFT
+        # thread, so that the members are solved one after another; an
+        # untraced run first loads the FFT kernel.  Traced peaks of the second
+        # run, 20 in a row, measured with numpy 2.4: 1 568 965 to 1 572 491
+        # bytes when each member's trajectory held its own copy of the datum,
+        # each solve built its own slab symbols and the delta_hat witnesses
+        # lived to the end of the run, and 1 302 418 to 1 416 321 bytes
+        # without them.  The bound lies between.
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(grid_module, "usable_cpus", lambda: 1)
+        cfg = tmp_path / "cfg.yaml"
+        data = write_config(cfg, tmp_path / "run")
+        assert cli.run("verify", data, output_dir=tmp_path / "warm") == 0
+        tracemalloc.start()
+        try:
+            assert cli.run("verify", data) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_480_000
 
     @pytest.mark.parametrize(
         "section, value, status",
@@ -870,6 +922,10 @@ class TestOtherPipelines:
         assert payload["aborted"] is False
         snaps = sorted(out.glob("snapshot_*.bin"))
         assert len(snaps) == payload["snapshots"]
+        # snapshot 0 is the datum, byte for byte
+        datum = tmp_path / "datum.bin"
+        write_field(datum, Experiment(load_config(cfg)).build_initial())
+        assert snaps[0].read_bytes() == datum.read_bytes()
 
     def test_sde_table(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

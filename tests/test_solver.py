@@ -116,6 +116,36 @@ class TestInvariants:
         assert traj.times[0] == 0.0
         assert np.all(np.diff(traj.times) > 0)
 
+    @pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "light"])
+    def test_snapshot_zero_is_the_datum(self, diagnostics):
+        # solve only reads the datum: a read-only one solves, snapshot 0 is
+        # the datum itself, and every later snapshot is that of a writable copy
+        grid, b_eps = mollified_hardy16()
+        values = np.cos(2 * np.pi * np.broadcast_to(grid.coordinates[0], grid.shape))
+        values.setflags(write=False)
+        f = ScalarField(grid, values)
+        cfg = SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=5)
+        traj = solve(b_eps, f, cfg, diagnostics=diagnostics)
+        assert traj.snapshots[0] is f and not f.values.flags.writeable
+        copied = solve(b_eps, f.copy(), cfg, diagnostics=diagnostics)
+        assert len(traj.snapshots) == len(copied.snapshots) == 3
+        for mine, theirs in zip(traj.snapshots, copied.snapshots):
+            assert mine.values.tobytes() == theirs.values.tobytes()
+
+    def test_solves_on_one_grid_share_its_read_only_slab_symbols(self):
+        grid, b_eps = mollified_hardy16()
+        f = sin_mode(grid)
+        cfg = SolverConfig(dt=1e-3, t_final=0.01, snapshot_stride=5)
+        solve(b_eps, f, cfg, diagnostics=False)
+        symbols, root = grid._slab_gradient_symbols, grid._dirichlet_root
+        solve(b_eps, f, cfg)
+        assert grid._slab_gradient_symbols is symbols and grid._dirichlet_root is root
+        # the slab: the 16 // 3 + 1 = 6 lines of the halved axis that the mask keeps
+        assert [s.shape for s in symbols] == [(16, 16, 6)] * 3 and root.shape == (16, 16, 9)
+        for symbol in (*symbols, root):
+            with pytest.raises(ValueError, match="read-only"):
+                symbol[0, 0, 1] = 1.0
+
     def test_grid_refinement_stability(self):
         # same continuum problem on n=16 and n=32: terminal diagnostics
         # within 1% for band-limited data and a fixed mollified Hardy drift
@@ -303,7 +333,8 @@ def test_light_template_solve_memory_peak():
     # on a fresh grid, so that its cached symbols count too.  Measured with
     # numpy 2.4: 5 704 920 bytes when the advection transformed the full
     # spectrum, with full-size gradient symbols and a new array per
-    # transform, and 5 197 240 bytes with the slab buffers.  The bound is the
+    # transform, 5 197 240 bytes with the slab buffers, and 4 934 568 bytes
+    # with the datum as snapshot 0, in place of a copy.  The bound is the
     # full-spectrum peak.
     grid = TorusGrid(3, 32)
     b = build_drift(DriftSpec(kind="hardy", delta=4.0, sign=-1), grid)
