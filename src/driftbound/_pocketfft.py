@@ -8,6 +8,9 @@ which grid uses.  The kernel's file is found from scipy's import spec, which
 imports nothing, and loaded on its own in 0.3 ms and about 0.5 MB.  It is
 the extension scipy.fft calls, so every transform is bitwise what scipy.fft
 gives.
+
+Every kernel call passes 1 thread, so a transform runs on the thread that
+calls it; the count is explicit, as pocketfft reads 0 as the OpenMP default.
 """
 
 import importlib.machinery
@@ -57,30 +60,30 @@ def _check_buffer(array, shape, dtype, name, slab=False):
         raise ValueError(f"{name} must be a {np.dtype(dtype)} array of {lines}shape {shape}")
 
 
-def rfftn(values, threads, out=None, scratch=None):
-    """grid.rfftn on `threads` threads; inorm 0 is the kernel's unscaled transform."""
+def rfftn(values, out=None, scratch=None):
+    """grid.rfftn; inorm 0 is the kernel's unscaled transform."""
     values = np.asarray(values, dtype=float)
     axes = tuple(range(values.ndim))
     if out is None and scratch is None:
-        return kernel.r2c(values, axes, True, 0, None, threads)
+        return kernel.r2c(values, axes, True, 0, None, 1)
     spectral = values.shape[:-1] + (values.shape[-1] // 2 + 1,)
     _check_buffer(scratch, spectral, complex, "scratch")
     _check_buffer(out, spectral, complex, "out", slab=True)
-    kernel.r2c(values, axes[-1:], True, 0, scratch, threads)
+    kernel.r2c(values, axes[-1:], True, 0, scratch, 1)
     head = scratch[..., : out.shape[-1]]
     if values.ndim == 1:  # no leading axes; the kernel rejects an empty axes tuple
         np.copyto(out, head)
     else:
-        kernel.c2c(head, axes[:-1], True, 0, out, threads)
+        kernel.c2c(head, axes[:-1], True, 0, out, 1)
     return out
 
 
-def irfftn(spectrum, shape, threads, out=None, padded=None):
-    """grid.irfftn on `threads` threads; inorm 2 is the kernel's factor 1/N."""
+def irfftn(spectrum, shape, out=None, padded=None):
+    """grid.irfftn; inorm 2 is the kernel's factor 1/N."""
     axes = tuple(range(len(shape)))
     if out is None and padded is None:
         spectrum = np.asarray(spectrum, dtype=complex)
-        return kernel.c2r(spectrum, axes, shape[-1], False, 2, None, threads)
+        return kernel.c2r(spectrum, axes, shape[-1], False, 2, None, 1)
     spectral = shape[:-1] + (shape[-1] // 2 + 1,)
     _check_buffer(out, shape, float, "out")
     _check_buffer(padded, spectral, complex, "padded")
@@ -89,8 +92,8 @@ def irfftn(spectrum, shape, threads, out=None, padded=None):
     if len(shape) == 1:
         np.copyto(head, spectrum)
     else:
-        kernel.c2c(spectrum, axes[:-1], False, 0, head, threads)
-    kernel.c2r(padded, axes[-1:], shape[-1], False, 0, out, threads)
+        kernel.c2c(spectrum, axes[:-1], False, 0, head, 1)
+    kernel.c2r(padded, axes[-1:], shape[-1], False, 0, out, 1)
     # the 1/N once, float64(1/longdouble(N)) as the kernel forms it for inorm
     # 2; a 1/n per pass would match it only for n a power of two
     return np.multiply(out, float(1 / np.longdouble(out.size)), out=out)

@@ -14,7 +14,6 @@ deterministic, so either copy is bitwise the same.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._convert import integral, real, usable_cpus
+from ._convert import integral, real
 
 __all__ = [
     "TorusGrid",
@@ -39,17 +38,6 @@ __all__ = [
     "read_field",
 ]
 
-# Below this many points a second FFT thread costs more than it saves, so an
-# FFT runs on 1 thread below it and on every CPU this process may use
-# (usable_cpus) at or above it.  The count passed to the kernel is always
-# explicit: pocketfft reads 0 as the OpenMP default.
-_FFT_WORKER_THRESHOLD = 1 << 16
-
-
-def _workers(size):
-    return usable_cpus() if size >= _FFT_WORKER_THRESHOLD else 1
-
-
 def rfftn(values, out=None, scratch=None):
     """The unscaled real FFT over every axis: bitwise scipy.fft.rfftn(values).
 
@@ -64,7 +52,7 @@ def rfftn(values, out=None, scratch=None):
     # lookup.  The import lock makes a second thread's first FFT wait.
     from . import _pocketfft
 
-    return _pocketfft.rfftn(values, _workers(values.size), out, scratch)
+    return _pocketfft.rfftn(values, out, scratch)
 
 
 def irfftn(spectrum, shape, out=None, padded=None):
@@ -81,7 +69,7 @@ def irfftn(spectrum, shape, out=None, padded=None):
     """
     from . import _pocketfft  # see rfftn
 
-    return _pocketfft.irfftn(spectrum, tuple(shape), _workers(math.prod(shape)), out, padded)
+    return _pocketfft.irfftn(spectrum, tuple(shape), out, padded)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from driftbound import grid as grid_module
 from driftbound._convert import integral
 from driftbound.cli import DEFAULTS, REQUIRED, Experiment, load_config, main
 from driftbound.drift import form_bound_estimate, mollify_drift
-from driftbound.grid import write_field
-from driftbound.solver import solve
+from driftbound.grid import build_field, write_field
+from driftbound.solver import _check_cfl, solve
 
 
 def write_config(path, output_dir, **overrides):
@@ -62,6 +62,15 @@ def fast_drift_config(path, output_dir, **solver):
         solver={"dt": 0.01, "t_final": 20.0, "snapshot_stride": 100, "cfl_safety": 1.0e6, **solver},
         initial={"kind": "trig", "terms": [[0.5, [1]]]},
     )
+
+
+def aborting_verify_config(path, output_dir):
+    """fast_drift_config at shift 0 for verify: every member's solve aborts
+    at step 575.  cosh_energy, which needs the auto shift, is left out."""
+    data = fast_drift_config(path, output_dir, shift=0.0)
+    data["verifier"] = {"inequalities": [i for i in cli.INEQUALITY_IDS if i != "cosh_energy"]}
+    path.write_text(yaml.safe_dump(data))
+    return data
 
 
 def run_cli(*args):
@@ -311,7 +320,6 @@ class TestVerify:
 
         kernel = _pocketfft.kernel
         monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
-        monkeypatch.setattr(grid_module, "usable_cpus", lambda: 1)
         monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
         cfg = tmp_path / "cfg.yaml"
         write_config(cfg, tmp_path / "run")
@@ -320,7 +328,6 @@ class TestVerify:
 
         monkeypatch.setattr(_pocketfft, "kernel", RecordingKernel())
         values = np.zeros((64,) * 3)
-        assert values.size >= grid_module._FFT_WORKER_THRESHOLD
         grid_module.irfftn(grid_module.rfftn(values), values.shape)
         assert threads == [1, 1]
 
@@ -352,6 +359,53 @@ class TestVerify:
         assert manifest["error"] == messages[0]
         # the limit is checked before any work, so no certificates.json
         assert manifest["artifacts"] == {}
+
+    def test_only_the_smallest_eps_member_breaking_the_limit_ends_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The smallest eps is schedule B's last member, so every member before
+        # it in schedule order is checked and keeps the limit; the error then
+        # quotes the smallest-eps member's own limit.
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the CFL check")
+
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out)
+        exp = Experiment(load_config(cfg))
+        b = exp.build_drift()
+        limits = {}
+        for eps in exp.schedule + exp.schedule_b:
+            _, b_max = _check_cfl(mollify_drift(b, eps), exp.solver)
+            limits[eps] = exp.solver.cfl_safety * exp.grid.spacing / b_max
+        smallest = min(limits)
+        others = min(limit for eps, limit in limits.items() if eps != smallest)
+        assert limits[smallest] < others
+        dt = (limits[smallest] + others) / 2
+        write_config(cfg, out, solver={"dt": dt, "t_final": 4 * dt, "snapshot_stride": 1})
+        monkeypatch.setattr(cli, "zeroth_order_constant", never)
+        monkeypatch.setattr(cli, "form_bound_estimate", never)
+        assert main(["verify", "--config", str(cfg)]) == 3
+        limit = f"{limits[smallest]:.3e}"
+        line = f"runtime error: CFL violation: dt={dt} exceeds cfl_safety*h/max|b| = {limit}"
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["artifacts"] == {}
+
+    def test_aborted_member_is_runtime_error(self, tmp_path, capsys):
+        # Every member aborts; the error names the first in schedule order.
+        # certificates.json is written before any solve result is read, and
+        # nothing after the abort.
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        aborting_verify_config(cfg, out)
+        assert main(["verify", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: solve aborted for eps=0.01: non-finite state")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == 3 and manifest["error"] == err.strip()
+        assert set(manifest["artifacts"]) == {"certificates.json"}
+        assert sorted(path.name for path in out.iterdir()) == ["certificates.json", "manifest.json"]
 
     def test_failed_c_delta_writes_no_certificates(self, tmp_path, capsys, monkeypatch):
         # c(delta) fails on the calling thread while the delta_hat sweep runs
@@ -700,7 +754,6 @@ class TestVerify:
         # lived to the end of the run, and 1 302 418 to 1 416 321 bytes
         # without them.  The bound lies between.
         monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
-        monkeypatch.setattr(grid_module, "usable_cpus", lambda: 1)
         cfg = tmp_path / "cfg.yaml"
         data = write_config(cfg, tmp_path / "run")
         assert cli.run("verify", data, output_dir=tmp_path / "warm") == 0
@@ -942,6 +995,42 @@ class TestOtherPipelines:
         before = threading.active_count()
         assert cli.run("sde", data) == 0
         assert threading.active_count() == before
+
+    def test_verify_leaves_no_thread_behind(self, tmp_path):
+        # the member pool is shut down after a passing run and an aborted one
+        before = threading.active_count()
+        data = write_config(tmp_path / "cfg.yaml", tmp_path / "pass")
+        assert cli.run("verify", data) == 0
+        assert threading.active_count() == before
+        data = aborting_verify_config(tmp_path / "abort.yaml", tmp_path / "abort")
+        assert cli.run("verify", data) == 3
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("subcommand", ["sde", "all"])
+    def test_missing_sde_section_is_config_error(self, tmp_path, capsys, subcommand):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        data = write_config(cfg, out)
+        del data["sde"]
+        cfg.write_text(yaml.safe_dump(data))
+        assert main([subcommand, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: sde section missing\n"
+        assert not out.exists()
+
+    def test_trig_datum_without_terms_is_the_default(self, tmp_path):
+        # 0.5 cos(2 pi x_1), whose L^2 norm on the unit torus is 0.5/sqrt(2)
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        data = write_config(cfg, out)
+        data["initial"] = {"kind": "trig"}
+        cfg.write_text(yaml.safe_dump(data))
+        assert main(["norm", "--config", str(cfg)]) == 0
+        payload = json.loads((out / "norms.json").read_text())
+        assert payload["l2"] == pytest.approx(0.5 / math.sqrt(2), rel=1e-12)
+        assert payload["linf"] == pytest.approx(0.5, rel=1e-12)
+        f = Experiment(load_config(cfg)).build_initial()
+        expected = build_field(f.grid, "trig", [[0.5, [1, 0, 0]]], "initial.terms")
+        assert f.values.tobytes() == expected.values.tobytes()
 
     def test_sde_verdict_does_not_depend_on_the_order(self, tmp_path):
         # coupled paths; the files keep the config's order, the verdict reads

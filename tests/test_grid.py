@@ -16,8 +16,8 @@ from driftbound import (
     read_field,
     write_field,
 )
+from driftbound import _convert, _pocketfft
 from driftbound import grid as grid_module
-from driftbound._convert import usable_cpus
 from driftbound.grid import irfftn, rfftn
 from conftest import random_band_limited
 
@@ -53,7 +53,7 @@ class TestTorusGrid:
 
 
 class TestTransforms:
-    # 64^3 is at the FFT worker threshold, so it runs on every usable CPU
+    # up to 64^3 (2^18 points), the largest grid verify is run on
     @pytest.mark.parametrize("shape", [(64,), (24, 24), (32,) * 3, (48,) * 3, (64,) * 3])
     def test_bitwise_scipy_fft(self, shape):
         import scipy.fft
@@ -63,10 +63,38 @@ class TestTransforms:
         assert spectrum.tobytes() == scipy.fft.rfftn(values).tobytes()
         assert irfftn(spectrum, shape).tobytes() == scipy.fft.irfftn(spectrum, s=shape).tobytes()
 
-    def test_thread_count_is_explicit(self):
-        # pocketfft reads 0 threads as the OpenMP default
-        assert grid_module._workers(grid_module._FFT_WORKER_THRESHOLD - 1) == 1
-        assert grid_module._workers(grid_module._FFT_WORKER_THRESHOLD) == usable_cpus() >= 1
+    def test_thread_count_is_explicit(self, monkeypatch):
+        # Every kernel call passes 1 thread, below and above 2^16 points and on
+        # the slab path, however many CPUs the process may use: pocketfft
+        # reads 0 threads as the OpenMP default.  grid reads no CPU count;
+        # were it to import one, it would read 2 here.
+        threads = []
+
+        class RecordingKernel:
+            def __getattr__(self, name):
+                def transform(*args):
+                    threads.append(args[-1])
+                    return getattr(kernel, name)(*args)
+
+                return transform
+
+        kernel = _pocketfft.kernel
+        for module in (_convert, grid_module):
+            monkeypatch.setattr(module, "usable_cpus", lambda: 2, raising=False)
+        monkeypatch.setattr(_pocketfft, "kernel", RecordingKernel())
+        rng = np.random.default_rng(5)
+        for n in (32, 64):
+            values = rng.standard_normal((n,) * 3)
+            irfftn(rfftn(values), values.shape)
+        assert threads == [1] * 4
+        grid = TorusGrid(3, 64)
+        slab = np.empty(grid.spectral_shape[:-1] + (grid.n // 3 + 1,), dtype=complex)
+        scratch = np.empty(grid.spectral_shape, dtype=complex)
+        padded = np.zeros(grid.spectral_shape, dtype=complex)
+        rfftn(values, out=slab, scratch=scratch)
+        irfftn(slab, grid.shape, out=np.empty(grid.shape), padded=padded)
+        # r2c and c2c forward, c2c and c2r back
+        assert threads == [1] * 8
 
     @pytest.mark.parametrize("n", [8, 24, 32, 48])
     @pytest.mark.parametrize("dim", [1, 2, 3])
