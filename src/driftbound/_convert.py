@@ -1,5 +1,5 @@
 """Value conversion shared by the config dataclasses, and the CPU count that
-sizes every thread pool; imports nothing but the standard library."""
+sizes verify's member pool; imports nothing but the standard library."""
 
 import math
 import os

@@ -100,7 +100,8 @@ grid:
 drift:
   kind: hardy                 # required: hardy | constant | trig | file
   delta: 4.0                  # hardy: nominal form-bound of the singularity
-  sign: -1                    # hardy: -1 attracts the flow to the origin
+  sign: -1                    # hardy: -1 points b at the origin; verify's paths
+                              # move by -b, so -1 repels them (sde's -1 attracts)
   core_radius: null           # hardy: null -> two grid spacings
   cutoff_radius: 0.4          # hardy: smooth cutoff support radius (< 1/2)
   # vector: [0.5, 0.0, 0.0]   # constant drifts

@@ -61,6 +61,11 @@ class DriftSpec:
       trig      -- per-component sums of amplitude * cos(2 pi k . x) terms
       file      -- vector field loaded from ``path``
     core_radius defaults to two grid spacings at build time.
+
+    sign follows the flow x' = b: -1 points b at the origin.  solve
+    integrates (d/dt - Laplacian + b . grad) u = 0, whose diffusion moves by
+    -b, so in verify sign -1 pushes its paths away from the origin; the sde
+    layer steps X + b dt, so there the same sign pulls its paths in.
     """
 
     kind: str
@@ -109,7 +114,11 @@ def _smooth_cutoff(r, inner, outer):
 
 def hardy_coefficient(delta, dim, sign):
     """The factor of x / |x|^2 in the Hardy drift; its form bound is delta only
-    where Hardy's inequality holds, so dim < 3 raises ValueError."""
+    where Hardy's inequality holds, so dim < 3 raises ValueError.
+
+    Its sign is that of b, not of the diffusion a layer drives with it: the
+    PDE's paths move by -b (sign -1 repels them), the SDE's by +b (sign -1
+    attracts them)."""
     if dim < 3:
         raise ValueError(f"the hardy drift needs dim >= 3, got dim {dim}")
     return sign * math.sqrt(delta) * (dim - 2) / 2.0

@@ -6,10 +6,10 @@ the Laplacian and the heat semigroup are Fourier multipliers; differentiation
 zeroes the Nyquist mode so that real input yields real output.  build_field
 makes the constant, trig and file fields of the drift and the initial datum.
 
-rfftn and irfftn are bitwise scipy.fft's, through scipy's compiled
-pocketfft kernel (_pocketfft).  verify transforms on several threads at
-once, so two of them may build a grid's cached symbols; the symbols are
-deterministic, so either copy is bitwise the same.
+rfftn and irfftn are bitwise scipy.fft's: they call scipy's compiled
+pocketfft kernel, which _pocketfft loads.  verify transforms on several
+threads at once, so two of them may build a grid's cached symbols; the
+symbols are deterministic, so either copy is bitwise the same.
 """
 
 from __future__ import annotations
@@ -38,6 +38,23 @@ __all__ = [
     "read_field",
 ]
 
+
+def _check_buffer(array, shape, dtype, name, slab=False):
+    """ValueError unless array is a dtype array of shape, or with slab, of
+    shape but for 1 .. shape[-1] lines on the last axis.  The kernel writes
+    through an out array without checking its shape."""
+    fits = (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.ndim == len(shape)
+        and array.shape[:-1] == shape[:-1]
+        and (1 <= array.shape[-1] <= shape[-1] if slab else array.shape[-1] == shape[-1])
+    )
+    if not fits:
+        lines = f"1 to {shape[-1]} lines of " if slab else ""
+        raise ValueError(f"{name} must be a {np.dtype(dtype)} array of {lines}shape {shape}")
+
+
 def rfftn(values, out=None, scratch=None):
     """The unscaled real FFT over every axis: bitwise scipy.fft.rfftn(values).
 
@@ -50,9 +67,25 @@ def rfftn(values, out=None, scratch=None):
     # Imported here, so the first FFT loads the kernel and a command that
     # makes none (sde, norm, init) never does; after it, a sys.modules
     # lookup.  The import lock makes a second thread's first FFT wait.
-    from . import _pocketfft
+    from ._pocketfft import kernel
 
-    return _pocketfft.rfftn(values, out, scratch)
+    values = np.asarray(values, dtype=float)
+    axes = tuple(range(values.ndim))
+    # inorm 0 is the kernel's unscaled transform.  Every kernel call passes 1
+    # thread, so a transform runs on the thread that calls it; the count is
+    # explicit, as pocketfft reads 0 as the OpenMP default.
+    if out is None and scratch is None:
+        return kernel.r2c(values, axes, True, 0, None, 1)
+    spectral = values.shape[:-1] + (values.shape[-1] // 2 + 1,)
+    _check_buffer(scratch, spectral, complex, "scratch")
+    _check_buffer(out, spectral, complex, "out", slab=True)
+    kernel.r2c(values, axes[-1:], True, 0, scratch, 1)
+    head = scratch[..., : out.shape[-1]]
+    if values.ndim == 1:  # no leading axes; the kernel rejects an empty axes tuple
+        np.copyto(out, head)
+    else:
+        kernel.c2c(head, axes[:-1], True, 0, out, 1)
+    return out
 
 
 def irfftn(spectrum, shape, out=None, padded=None):
@@ -67,9 +100,27 @@ def irfftn(spectrum, shape, out=None, padded=None):
     axis then writes out, which is returned: irfftn of the zero-extended
     slab bit for bit.
     """
-    from . import _pocketfft  # see rfftn
+    from ._pocketfft import kernel  # see rfftn
 
-    return _pocketfft.irfftn(spectrum, tuple(shape), out, padded)
+    shape = tuple(shape)
+    axes = tuple(range(len(shape)))
+    # inorm 2 is the kernel's factor 1/N; 1 thread, as in rfftn
+    if out is None and padded is None:
+        spectrum = np.asarray(spectrum, dtype=complex)
+        return kernel.c2r(spectrum, axes, shape[-1], False, 2, None, 1)
+    spectral = shape[:-1] + (shape[-1] // 2 + 1,)
+    _check_buffer(out, shape, float, "out")
+    _check_buffer(padded, spectral, complex, "padded")
+    _check_buffer(spectrum, spectral, complex, "spectrum", slab=True)
+    head = padded[..., : spectrum.shape[-1]]
+    if len(shape) == 1:
+        np.copyto(head, spectrum)
+    else:
+        kernel.c2c(spectrum, axes[:-1], False, 0, head, 1)
+    kernel.c2r(padded, axes[-1:], shape[-1], False, 0, out, 1)
+    # the 1/N once, float64(1/longdouble(N)) as the kernel forms it for inorm
+    # 2; a 1/n per pass would match it only for n a power of two
+    return np.multiply(out, float(1 / np.longdouble(out.size)), out=out)
 
 
 @dataclass(frozen=True)

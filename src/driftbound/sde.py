@@ -70,7 +70,9 @@ class SdeConfig:
     r_core caps the drift magnitude below the hitting radius, so the
     unresolvable 1/|x| blowup never contaminates the statistic; the dt
     invariant keeps the capped drift step an order of magnitude below r_hit.
-    sign = -1 attracts paths to the origin, +1 repels them.
+    sign = -1 attracts paths to the origin, +1 repels them, since the step
+    adds +b dt.  The PDE layer's diffusion moves by -b, so there sign -1
+    repels (DriftSpec).
     """
 
     dim: int = 3
@@ -149,10 +151,11 @@ class HittingStats:
         }
 
 
-def wilson_halfwidth(count, n, z=_WILSON_Z):
-    """Half-width of the Wilson score interval for count successes in n."""
+def wilson_halfwidth(count, n):
+    """Half-width of the 95% Wilson score interval for count successes in n."""
     if n == 0:
         return math.nan
+    z = _WILSON_Z
     p = count / n
     denom = 1.0 + z * z / n
     return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom

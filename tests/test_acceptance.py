@@ -228,7 +228,7 @@ def test_criterion_05_orlicz_quasi_contraction(hardy64):
 
     def run_at(dt):
         config = SolverConfig(dt=dt, t_final=0.1, shift=0.0, snapshot_stride=40)
-        traj = solve(b_eps, f, config)
+        traj = solve(b_eps, f, config, diagnostics=False)
         return check_orlicz_contraction(traj, delta, c_delta, tol_rel=SINGULAR_TOL)
 
     refined = refinement_study(run_at, [5e-4, 2.5e-4])

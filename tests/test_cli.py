@@ -179,7 +179,47 @@ class TestConfigSchema:
         assert undotted_exp["drift_spec"].core_radius == 0.1
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def reference_differences(path, got, ref, scale=0.0):
+    """Where got differs from ref under the benchmark's correctness rule
+    (perfbench/run.py::compare_reports), restated: floats within 1e-8
+    relative, a float in a list on the scale of the list's largest finite
+    value; keys, list lengths, verdicts, names and integers exactly."""
+    if isinstance(ref, float) and type(got) in (int, float):
+        if math.isnan(ref) or math.isnan(got):
+            same = math.isnan(ref) and math.isnan(got)
+        else:
+            same = got == ref or abs(got - ref) <= 1e-8 * max(abs(got), abs(ref), scale)
+        return [] if same else [f"{path} = {got!r}, reference {ref!r}"]
+    if isinstance(ref, list) and isinstance(got, list):
+        if len(got) != len(ref):
+            return [f"{path}: {len(got)} values, reference {len(ref)}"]
+        scale = max((abs(x) for x in ref if isinstance(x, float) and math.isfinite(x)), default=0.0)
+        pairs = enumerate(zip(got, ref))
+        return [p for i, (g, r) in pairs for p in reference_differences(f"{path}[{i}]", g, r, scale)]
+    if isinstance(ref, dict) and isinstance(got, dict):
+        if sorted(got) != sorted(ref):
+            return [f"{path}: keys {sorted(got)}, reference {sorted(ref)}"]
+        return [p for k in sorted(ref) for p in reference_differences(f"{path}.{k}", got[k], ref[k])]
+    return [] if type(got) is type(ref) and got == ref else [f"{path} = {got!r}, reference {ref!r}"]
+
+
 class TestVerify:
+    def test_template_matches_the_benchmark_reference(self, tmp_path):
+        # the perfbench verify32 workload's recorded exit status and reports
+        reference = json.loads((PERFBENCH / "reference" / "verify32.json").read_text())
+        config = load_config(PERFBENCH / "template.yaml")
+        assert cli.run("verify", config, output_dir=tmp_path) == reference["status"]
+        got = json.loads((tmp_path / "reports.json").read_text())["reports"]
+        ref = reference["reports"]["reports"]
+        assert [r["inequality_id"] for r in got] == [r["inequality_id"] for r in ref]
+        problems = [
+            p for g, r in zip(got, ref) for p in reference_differences(r["inequality_id"], g, r)
+        ]
+        assert problems == []
+
     def test_zero_drift_all_analytic_checks_pass(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"

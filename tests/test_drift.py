@@ -336,8 +336,6 @@ def test_eigen_engine_does_not_depend_on_the_blas_thread_count():
 # and norm make no FFT and must leave scipy.fft unloaded; verify then makes
 # its first FFT on a pool thread (the delta_hat sweep) and on the calling
 # thread (c(delta)) at once, so both may reach the import together.
-# sde and norm make no FFT, and verify makes its first FFTs on two threads at
-# once (the delta_hat sweep on the pool beside c(delta) on the calling thread)
 FFT_KERNEL_PROBE = """
 import sys
 from driftbound import cli
