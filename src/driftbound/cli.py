@@ -288,8 +288,8 @@ class Experiment:
     fixes the seed and the checks' delta and L^p exponent; check_parameters
     adds c_delta and the shift once the drift is built.  The pipelines raise
     their remaining config errors (a drift or datum that cannot be built, a
-    Cauchy check without two schedule members, cosh_energy with an explicit
-    shift, selected checks none of which can run) before they write any file.
+    Cauchy check without two schedule members, selected checks none of which
+    can run) before they write any file.
     """
 
     def __init__(self, data, output_dir=None, seed=None, tier=None):
@@ -585,11 +585,6 @@ def _check_members_cfl(b, schedule, config):
 
 def pipeline_verify(exp):
     selected = exp.inequalities
-    if "cosh_energy" in selected and exp.shift is not None:
-        raise ConfigError(
-            f"cosh_energy needs the shift c_delta / sqrt(delta), but solver.shift is "
-            f"{exp.shift:g}; set solver.shift to auto or leave cosh_energy out"
-        )
     b = exp.build_drift()
     f = exp.build_initial()
     singular_drift = b.max_magnitude() > 0

@@ -244,7 +244,11 @@ def form_bound_estimate(b, c_values=None, max_iter=5000, rq_tol=1e-10):
     eigen-solve starts from cos(2 pi x) plus noise from default_rng(0), as
     zeroth_order_constant's does, so no certificate depends on a seed.  Budgets
     below <|b|^2> are reported infeasible.  Budgets at or above max|b|^2 give
-    delta_hat = 0 exactly, with no eigen-solve and no witness.  A pair not
+    delta_hat = 0 exactly, with no eigen-solve and no witness; so do budgets
+    within a relative 1e-12 below it, such as 2<|b|^2> for a single cosine,
+    which rounds one ulp under max|b|^2.  There the true value is at most
+    (max|b|^2 - c) / (4 pi^2), by Poincare on mean-zero, Nyquist-free fields,
+    which is below 1e-13 max|b|^2.  A pair not
     confirmed within rq_tol, the relative eigen-residual, after max_iter
     operator applications is returned with converged False.
     """
@@ -270,8 +274,9 @@ def form_bound_estimate(b, c_values=None, max_iter=5000, rq_tol=1e-10):
     def certify(c):
         if c < mean_b_sq * (1.0 - 1e-12):
             return FormBoundCertificate(c, math.inf, residual=math.nan, converged=False, feasible=False)
-        if c >= top:
-            # M - c <= 0 pointwise, so delta_hat(c) = 0 exactly.  The eigen-solve
+        if c >= top * (1.0 - 1e-12):
+            # M - c <= 0 pointwise, so delta_hat(c) = 0 up to the rounding
+            # allowance, as at the infeasible end.  The eigen-solve
             # could not confirm it: its iterate sinks into the null space of
             # L^(-1/2), where rho -> 0 and the relative residual cannot fall.
             return FormBoundCertificate(c, 0.0)

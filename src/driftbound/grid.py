@@ -390,9 +390,11 @@ def build_field(grid, kind, source, name, vector=False):
     """The constant, trig or file field that ``source``, the value of config
     key ``name``, describes on grid: a number, (amplitude, wavevector) terms or
     a path.  A vector field takes one number or term list per component, or a
-    path to a vector field."""
+    path to a vector field; at d = 1 a scalar file is the one component."""
     if kind == "file":
         field = read_field(source)
+        if vector and isinstance(field, ScalarField) and field.grid.dim == 1:
+            field = VectorField(field.grid, (field,))
         if not isinstance(field, VectorField if vector else ScalarField) or field.grid != grid:
             raise ValueError(
                 f"{name} {source} does not match the run grid: expected a "
@@ -417,7 +419,8 @@ def write_field(path, field):
     Format is ``(d, n)`` header then row-major values; binary files use
     little-endian int64 header and float64 values, CSV files a ``d,n`` first
     line then one value per line.  Vector fields store their components as
-    consecutive blocks; the element count distinguishes scalar from vector.
+    consecutive blocks.  The element count tells scalar from vector except
+    at d = 1, where both hold n values.
     """
     path = Path(path)
     blocks = field.components if isinstance(field, VectorField) else [field]
@@ -437,7 +440,8 @@ def write_field(path, field):
 def read_field(path):
     """Read a field written by :func:`write_field`.
 
-    Returns a ScalarField or VectorField depending on the stored count.
+    Returns a ScalarField or VectorField depending on the stored count; a
+    1D field reads back as a ScalarField, whichever was written.
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":

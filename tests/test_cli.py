@@ -64,15 +64,6 @@ def fast_drift_config(path, output_dir, **solver):
     )
 
 
-def aborting_verify_config(path, output_dir):
-    """fast_drift_config at shift 0 for verify: every member's solve aborts
-    at step 575.  cosh_energy, which needs the auto shift, is left out."""
-    data = fast_drift_config(path, output_dir, shift=0.0)
-    data["verifier"] = {"inequalities": [i for i in cli.INEQUALITY_IDS if i != "cosh_energy"]}
-    path.write_text(yaml.safe_dump(data))
-    return data
-
-
 def run_cli(*args):
     """driftbound in a fresh process, so that a traceback shows on its stderr;
     a warning is an error there, as it is in process under pytest."""
@@ -180,6 +171,7 @@ class TestConfigSchema:
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def reference_differences(path, got, ref, scale=0.0):
@@ -206,9 +198,25 @@ def reference_differences(path, got, ref, scale=0.0):
     return [] if type(got) is type(ref) and got == ref else [f"{path} = {got!r}, reference {ref!r}"]
 
 
+def read_diagnostics(path):
+    """diagnostics.csv as its parsed "# shift=... aborted=..." line, its column
+    names in order, and each column's values."""
+    first, header, *rows = path.read_text().splitlines()
+    meta = dict(item.split("=") for item in first.removeprefix("# ").split())
+    names = header.split(",")
+    columns = zip(*([float(x) for x in row.split(",")] for row in rows))
+    return {
+        "shift": float(meta["shift"]),
+        "aborted": {"True": True, "False": False}[meta["aborted"]],
+        "names": names,
+        "columns": {name: list(values) for name, values in zip(names, columns)},
+    }
+
+
 class TestVerify:
     def test_template_matches_the_benchmark_reference(self, tmp_path):
-        # the perfbench verify32 workload's recorded exit status and reports
+        # the perfbench verify32 workload's recorded exit status and reports,
+        # and the certificates and diagnostics recorded in tests/data
         reference = json.loads((PERFBENCH / "reference" / "verify32.json").read_text())
         config = load_config(PERFBENCH / "template.yaml")
         assert cli.run("verify", config, output_dir=tmp_path) == reference["status"]
@@ -218,6 +226,10 @@ class TestVerify:
         problems = [
             p for g, r in zip(got, ref) for p in reference_differences(r["inequality_id"], g, r)
         ]
+        certificates = (json.loads((d / "certificates.json").read_text()) for d in (tmp_path, DATA))
+        problems += reference_differences("certificates", *certificates)
+        diagnostics = (read_diagnostics(d / "diagnostics.csv") for d in (tmp_path, DATA))
+        problems += reference_differences("diagnostics", *diagnostics)
         assert problems == []
 
     def test_zero_drift_all_analytic_checks_pass(self, tmp_path):
@@ -438,7 +450,7 @@ class TestVerify:
         # nothing after the abort.
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
-        aborting_verify_config(cfg, out)
+        fast_drift_config(cfg, out, shift=0.0)
         assert main(["verify", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime error: solve aborted for eps=0.01: non-finite state")
@@ -720,15 +732,22 @@ class TestVerify:
         assert manifest["error"] == run.stderr.strip()
         assert not (out / "certificates.json").exists()
 
-    def test_explicit_shift_with_cosh_energy_is_config_error(self, tmp_path, capsys):
+    def test_explicit_shift_runs_cosh_energy(self, tmp_path):
+        # cosh_energy forms v = exp(-rate t) u itself, so any explicit shift
+        # gives the auto run's left side to rounding
+        def cosh_lhs(shift):
+            out = tmp_path / f"run_{shift}"
+            data = write_config(tmp_path / "cfg.yaml", out, solver={"shift": shift})
+            assert cli.run("verify", data) == 0
+            reports = json.loads((out / "reports.json").read_text())["reports"]
+            return next(r["lhs"] for r in reports if r["inequality_id"] == "cosh_energy")
+
+        auto = cosh_lhs("auto")
+        for shift in (0, 0.5):
+            np.testing.assert_allclose(cosh_lhs(shift), auto, rtol=1e-12, atol=0)
+        # without cosh_energy the explicit shift is used as given
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
-        for shift in (0.5, 0):
-            write_config(cfg, out, solver={"shift": shift})
-            assert main(["verify", "--config", str(cfg)]) == 2
-            assert not out.exists()
-            assert "config error: cosh_energy needs the shift" in capsys.readouterr().err
-        # without cosh_energy the explicit shift is used as given
         data = zero_drift_config(cfg, out)
         data["solver"]["shift"] = 0.5
         data["verifier"]["inequalities"] = ["orlicz_contraction"]
@@ -979,6 +998,18 @@ class TestOtherPipelines:
             assert row["delta_hat"] == 0.0 and row["residual"] == 0.0
             assert row["converged"] and row["iterations"] == 0
 
+    def test_formbound_budget_one_ulp_below_the_top_needs_no_eigen_solve(self, tmp_path):
+        # c = 2<|b|^2> of a single cosine is max|b|^2 = 0.25 in exact
+        # arithmetic; at n = 16 it rounds one ulp below it
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        write_config(cfg, out, drift={"kind": "trig", "components": [[[0.5, [1, 0, 0]]], [], []]})
+        assert main(["formbound", "--config", str(cfg)]) == 0
+        certs = json.loads((out / "certificates.json").read_text())["certificates"]
+        assert len(certs) == 4 and all(row["converged"] for row in certs)
+        assert certs[1]["c"] < 0.25
+        assert certs[1]["delta_hat"] == 0.0 and certs[1]["iterations"] == 0
+
     def test_mollify(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "run"
@@ -988,6 +1019,23 @@ class TestOtherPipelines:
         gaps = [row["l2_gap_to_parent"] for row in payload["schedule"]]
         assert gaps[0] > gaps[1]
         assert (out / "drift_eps_0.bin").exists()
+
+    def test_1d_mollified_drift_file_verifies(self, tmp_path):
+        # at d = 1 mollify's vector file holds as many values as a scalar one
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "run"
+        data = write_config(
+            cfg,
+            out,
+            grid={"dim": 1, "n": 64},
+            drift={"kind": "trig", "components": [[[0.5, [1]]]]},
+            initial={"kind": "trig", "terms": None},
+        )
+        assert main(["mollify", "--config", str(cfg)]) == 0
+        data["drift"] = {"kind": "file", "path": str(out / "drift_eps_0.bin")}
+        data["experiment"]["output_dir"] = str(tmp_path / "verify")
+        cfg.write_text(yaml.safe_dump(data))
+        assert main(["verify", "--config", str(cfg)]) == 0
 
     def test_aborted_solve_is_runtime_error(self, tmp_path, capsys):
         # the outputs are written before the abort is raised, and the
@@ -1042,7 +1090,7 @@ class TestOtherPipelines:
         data = write_config(tmp_path / "cfg.yaml", tmp_path / "pass")
         assert cli.run("verify", data) == 0
         assert threading.active_count() == before
-        data = aborting_verify_config(tmp_path / "abort.yaml", tmp_path / "abort")
+        data = fast_drift_config(tmp_path / "abort.yaml", tmp_path / "abort", shift=0.0)
         assert cli.run("verify", data) == 3
         assert threading.active_count() == before
 

@@ -310,6 +310,18 @@ class TestBuildField:
         write_field(path, f)
         assert np.array_equal(build_field(grid2d, "file", str(path), "path").values, f.values)
 
+    def test_1d_vector_file_drift(self, tmp_path, grid1d):
+        # at d = 1 a vector field holds n values, as a scalar one does, so it
+        # reads back as a ScalarField; a vector source takes it as its component
+        v = build_field(grid1d, "trig", [[[0.5, [1]]]], "components", vector=True)
+        path = tmp_path / "b.bin"
+        write_field(path, v)
+        assert isinstance(read_field(path), ScalarField)
+        back = build_field(grid1d, "file", str(path), "path", vector=True)
+        assert isinstance(back, VectorField)
+        assert np.array_equal(back.components[0].values, v.components[0].values)
+        assert isinstance(build_field(grid1d, "file", str(path), "path"), ScalarField)
+
     def test_errors_name_the_source_key(self, tmp_path, grid2d):
         path = tmp_path / "b.bin"
         write_field(path, VectorField.zeros(grid2d))

@@ -350,6 +350,26 @@ def test_light_template_solve_memory_peak():
     assert peak <= 5_704_920
 
 
+def test_drift_sign_orders_u_off_the_origin():
+    # u(T, x) = E f(X_T) with dX = -b dt + sqrt(2) dW.  Sign -1 points b at
+    # the origin, where the template datum peaks, so it pushes these paths
+    # away and u falls below the heat flow's; sign +1 draws them in.
+    grid = TorusGrid(3, 32)
+    f = build_field(grid, "trig", [[0.5, [1, 0, 0]], [0.25, [0, 1, 1]]], "initial.terms")
+    config = SolverConfig(dt=2.5e-4, t_final=0.02, shift=0.0)
+
+    def final_u(b):
+        return solve(mollify_drift(b, 1e-2), f, config, diagnostics=False).snapshots[-1].values
+
+    minus, plus = (
+        final_u(build_drift(DriftSpec(kind="hardy", delta=4.0, sign=sign), grid)) for sign in (-1, 1)
+    )
+    heat = final_u(VectorField.zeros(grid))
+    # the points (0.125, 0, 0), (0.0625, 0.0625, 0) and (0.25, 0, 0)
+    for index in [(20, 16, 16), (18, 18, 16), (24, 16, 16)]:
+        assert plus[index] > heat[index] > minus[index]
+
+
 def textbook_solve(b_smooth, f, config):
     """solve() written with a new array for every operation: the bitwise oracle.
 

@@ -26,6 +26,7 @@ from driftbound import (
     lp_norm,
     lp_exponent,
     lp_threshold,
+    modular,
     mollify_drift,
     render_reports,
     solve,
@@ -180,14 +181,27 @@ class TestCoshEnergy:
         assert report.passed
         assert np.all(np.diff(report.lhs) <= 1e-12)
 
-    def test_shift_mismatch_rejected(self, grid1d):
+    def test_any_shift_gives_the_lhs_of_v(self, hardy_setup):
+        # v = exp(-rate t) u at whatever shift the trajectory was solved;
+        # solved at shift = rate, the snapshots are v itself
+        shifted, c4 = hardy_setup["shifted"], hardy_setup["c4"]
+        at_rate = check_cosh_energy(shifted, 4.0, c4, tol_rel=SINGULAR_TOL)
+        at_zero = check_cosh_energy(hardy_setup["plain"], 4.0, c4, tol_rel=SINGULAR_TOL)
+        assert at_rate.lhs.tolist() == [modular(s, 1.0) for s in shifted.snapshots]
+        np.testing.assert_allclose(at_zero.lhs, at_rate.lhs, rtol=1e-12, atol=0)
+        assert at_zero.passed and at_rate.passed
+
+    def test_rate_beyond_the_exp_range_reads_v_as_zero(self, grid1d):
+        # at rate 1e5, exp(rate t) overflows from t = 0.0071 on, where
+        # v = exp(-rate t) u is 0 to double precision; no warning is raised
         traj = solve(
             VectorField.zeros(grid1d),
             cos_datum(grid1d),
-            SolverConfig(dt=1e-3, t_final=0.01, shift=0.0),
+            SolverConfig(dt=1e-3, t_final=0.02, snapshot_stride=10),
         )
-        with pytest.raises(ValueError, match="shift"):
-            check_cosh_energy(traj, 4.0, 1.0)
+        report = check_cosh_energy(traj, 1.0, 1e5)
+        assert report.passed
+        assert report.lhs[0] > 0.0 and np.all(report.lhs[1:] == 0.0)
 
     def test_mollified_hardy(self, hardy_setup):
         report = check_cosh_energy(
